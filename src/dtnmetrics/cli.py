@@ -55,7 +55,6 @@ def build_report(
     trace: ContactTrace,
     period: AnalysisPeriod,
     w: float | None = None,
-    horizon: int | None = None,
     dataset_name: str = "trace",
 ) -> MetricsReport:
     """Run the full pipeline for one period and assemble the report row."""
@@ -70,8 +69,7 @@ def build_report(
     n = len(clipped.nodes)
     if n < 2:
         raise InputError("analysis needs at least 2 nodes in the period")
-    cfg = WindowConfig(w=w, horizon=horizon)
-    snapshots = windowing.build_snapshots(clipped, period, cfg)
+    snapshots = windowing.build_snapshots(clipped, period, WindowConfig(w=w))
     matrix = temporal_metrics.temporal_distance_matrix(snapshots)
     avg_td = temporal_metrics.average_temporal_distance(matrix, w)
     tdia = temporal_metrics.temporal_diameter(matrix, w)
@@ -213,13 +211,7 @@ def cmd_analyze(args) -> int:
     reports = []
     for period in periods:
         reports.append(
-            build_report(
-                trace,
-                period,
-                w=args.window,
-                horizon=args.horizon,
-                dataset_name=args.input,
-            )
+            build_report(trace, period, w=args.window, dataset_name=args.input)
         )
     _write_output(format_reports(reports, args.report_format), args.output)
     return EXIT_OK
@@ -307,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analysis period; repeat for one report row per period",
     )
     p.add_argument("--window", type=float, default=None, help="window width override")
-    p.add_argument(
-        "--horizon", type=int, default=None, help="max intra-window hops (default unlimited)"
-    )
     p.add_argument(
         "--report-format", choices=("table", "delimited"), default="table"
     )

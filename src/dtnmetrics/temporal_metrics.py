@@ -10,12 +10,30 @@ Two reachability semantics coexist here:
   a message moves only along actual contact edges, at most ``horizon``
   hops inside one window, forward in window order.
 
-Both run the same scan schedule per pair: start at the source's first
-occurrence window, and after each found target restart at the first
-source occurrence past it. Sharing the schedule keeps the occurrence
-semantics at most as large as the edge semantics pair by pair, and
-makes the two coincide whenever every window's contact graph is
-connected over its occupants.
+Both run on two arrays cached on the :class:`SnapshotSequence`:
+
+* ``occupancy``, W x N booleans: which node occurs in which window;
+* ``infection_table`` H, W x N: ``H[s, n]`` is the first window >= s
+  infected by a scan started at s in which n occurs, -1 if none. One
+  forward pass over t advances the scans of every start at once; at t
+  it touches the occupants of t in each scan started so far, so the
+  build costs O(W * total occupancy) <= O(W^2 * N) element operations.
+
+The one scan schedule, :func:`_scan_schedule`, is a sweep over those
+arrays. Each source i keeps ``floor`` and ``alive`` vectors over all
+targets (a row of a sources x N array) and visits its occurrence windows
+s in ascending order. A target is due at s when it is alive and its
+floor is <= s; a due target with ``H[s] >= 0`` scores ``H[s] - s`` and
+moves its floor past the hit, and a miss ends its schedule. All sources
+advance together in one pass over the windows, so the sweep costs
+O(N * |occurrences|) element operations in at most W vector steps.
+
+The matrix keeps the best score per (source, target); the
+edge-respecting distance runs its own edge scans on the same (start,
+paper hit) schedule. Sharing the schedule keeps the occurrence semantics
+at most as large as the edge semantics pair by pair, and makes the two
+coincide whenever every window's contact graph is connected over its
+occupants.
 """
 
 from __future__ import annotations
@@ -85,80 +103,50 @@ class TemporalDistanceMatrix:
         return "\n".join(lines)
 
 
-class _OccurrenceIndex:
-    """Shared lookup tables for one snapshot sequence.
-
-    Caches, per scan-start window s, the first infected window in which
-    each node occurs (the occurrence-list reachability of the paper's
-    algorithm); the scan does not depend on which source started it
-    beyond the requirement that the source occurs in s.
-    """
-
-    def __init__(self, snapshots: SnapshotSequence):
-        self.snapshots = snapshots
-        self.occ = [snap.occupants for snap in snapshots.windows]
-        self.W = snapshots.window_count
-        self.node_windows: dict[int, list[int]] = {n: [] for n in snapshots.nodes}
-        for t, members in enumerate(self.occ):
-            for n in members:
-                if n in self.node_windows:
-                    self.node_windows[n].append(t)
-        self._scan_cache: dict[int, dict[int, int]] = {}
-
-    def first_occurrence_at_or_after(self, node: int, floor: int) -> Optional[int]:
-        for t in self.node_windows.get(node, ()):
-            if t >= floor:
-                return t
-        return None
-
-    def infection_hits(self, s: int) -> dict[int, int]:
-        """First infected window >= s in which each node occurs.
-
-        Infection starts with the occupants of window s; a later window
-        is infected when it shares at least one occupant with the
-        carrier set, and its whole occupant set then carries forward.
-        """
-        cached = self._scan_cache.get(s)
-        if cached is not None:
-            return cached
-        hits: dict[int, int] = {}
-        carriers = set(self.occ[s])
-        for n in carriers:
-            hits[n] = s
-        for t in range(s + 1, self.W):
-            members = self.occ[t]
-            if carriers.isdisjoint(members):
-                continue
-            for n in members:
-                if n not in hits:
-                    hits[n] = t
-            carriers |= members
-        self._scan_cache[s] = hits
-        return hits
-
-
 def _check_node(snapshots: SnapshotSequence, node: int) -> None:
     if node not in snapshots.nodes:
         raise KeyError(f"unknown node id {node}")
 
 
-def _paper_scan_schedule(index: _OccurrenceIndex, i: int, j: int):
-    """Yield (start_window, paper_hit_window) scans for the pair (i, j).
+def _scan_schedule(snapshots: SnapshotSequence, sources: np.ndarray):
+    """Yield the scans of the given source columns against all targets.
 
-    Scans begin at the source's first occurrence window; after a hit at
-    window t the next scan starts at the first source occurrence past t.
-    The schedule ends at the first scan with no hit.
+    Each item is ``(s, rows, due, hits)``: a scan start window s, the
+    indices into ``sources`` of the sources occurring in s, a boolean
+    (len(rows), N) array of the targets whose schedule scans from s, and
+    row s of the infection table. A target's first scan starts at the
+    source's first occurrence; after a hit at window t its next scan
+    starts at the first source occurrence past t; its schedule ends at
+    the first scan with no hit.
     """
-    floor = 0
-    while True:
-        s = index.first_occurrence_at_or_after(i, floor)
-        if s is None:
-            return
-        hit = index.infection_hits(s).get(j)
-        yield s, hit
-        if hit is None:
-            return
-        floor = hit + 1
+    present = snapshots.occupancy[:, sources]
+    H = snapshots.infection_table
+    floor = np.zeros((len(sources), len(snapshots.nodes)), dtype=np.int64)
+    alive = np.ones_like(floor, dtype=bool)
+    alive[np.arange(len(sources)), sources] = False
+    for s in np.flatnonzero(present.any(axis=1)):
+        rows = np.flatnonzero(present[s])
+        due = alive[rows] & (floor[rows] <= s)
+        if not due.any():
+            continue
+        hits = H[s]
+        yield int(s), rows, due, hits
+        alive[rows] &= ~due | (hits >= 0)
+        floor[rows] = np.where(due, hits + 1, floor[rows])
+
+
+def _distance_rows(snapshots: SnapshotSequence, sources: np.ndarray) -> np.ndarray:
+    """Paper-algorithm distances from the source columns, -1 if unreachable."""
+    best = np.full(
+        (len(sources), len(snapshots.nodes)), UNREACHABLE_SENTINEL, dtype=np.int64
+    )
+    for s, rows, due, hits in _scan_schedule(snapshots, sources):
+        d = hits - s
+        prev = best[rows]
+        better = due & (hits >= 0) & ((prev < 0) | (d < prev))
+        best[rows] = np.where(better, d, prev)
+    best[np.arange(len(sources)), sources] = 0
+    return best
 
 
 def temporal_distance_paper(
@@ -173,56 +161,17 @@ def temporal_distance_paper(
     _check_node(snapshots, j)
     if i == j:
         return 0
-    index = _occurrence_index(snapshots)
-    best: Optional[int] = None
-    for s, hit in _paper_scan_schedule(index, i, j):
-        if hit is None:
-            break
-        d = hit - s
-        best = d if best is None else min(best, d)
-    return best
-
-
-# One index per snapshot sequence; SnapshotSequence is immutable so the
-# cache is safe to share.
-_INDEX_CACHE: dict[int, _OccurrenceIndex] = {}
-
-
-def _occurrence_index(snapshots: SnapshotSequence) -> _OccurrenceIndex:
-    key = id(snapshots)
-    idx = _INDEX_CACHE.get(key)
-    if idx is None or idx.snapshots is not snapshots:
-        idx = _OccurrenceIndex(snapshots)
-        _INDEX_CACHE.clear()
-        _INDEX_CACHE[key] = idx
-    return idx
+    labels = snapshots.nodes
+    row = _distance_rows(snapshots, np.array([labels.index(i)]))[0]
+    d = int(row[labels.index(j)])
+    return None if d == UNREACHABLE_SENTINEL else d
 
 
 def temporal_distance_matrix(snapshots: SnapshotSequence) -> TemporalDistanceMatrix:
     """All-pairs paper-algorithm distances, -1 for unreachable pairs."""
     labels = snapshots.nodes
-    n = len(labels)
-    entries = np.full((n, n), UNREACHABLE_SENTINEL, dtype=np.int64)
-    np.fill_diagonal(entries, 0)
-    index = _occurrence_index(snapshots)
-    for a, i in enumerate(labels):
-        for b, j in enumerate(labels):
-            if i == j:
-                continue
-            d = _paper_distance_indexed(index, i, j)
-            if d is not None:
-                entries[a, b] = d
+    entries = _distance_rows(snapshots, np.arange(len(labels)))
     return TemporalDistanceMatrix(labels, entries)
-
-
-def _paper_distance_indexed(index: _OccurrenceIndex, i: int, j: int) -> Optional[int]:
-    best: Optional[int] = None
-    for s, hit in _paper_scan_schedule(index, i, j):
-        if hit is None:
-            break
-        d = hit - s
-        best = d if best is None else min(best, d)
-    return best
 
 
 def average_temporal_distance(matrix: TemporalDistanceMatrix, w: float) -> float:
@@ -302,15 +251,18 @@ def temporal_distance_exact(
     _check_node(snapshots, j)
     if i == j:
         return 0
-    index = _occurrence_index(snapshots)
+    labels = snapshots.nodes
+    a, b = labels.index(i), labels.index(j)
     adj = _window_adjacency(snapshots)
     best: Optional[int] = None
-    for s, paper_hit in _paper_scan_schedule(index, i, j):
+    for s, _, due, paper_hits in _scan_schedule(snapshots, np.array([a])):
+        if not due[0, b]:
+            continue
         hit = _edge_scan_hit(snapshots, adj, i, j, s, cfg.horizon)
         if hit is not None:
             d = hit - s
             best = d if best is None else min(best, d)
-        if paper_hit is None:
+        if paper_hits[b] < 0:
             break
     return best
 
@@ -385,13 +337,13 @@ def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScor
         raise ValueError("temporal betweenness needs at least 3 nodes")
     W = snapshots.window_count
     adj = _window_adjacency(snapshots)
-    index = _occurrence_index(snapshots)
+    occ = snapshots.occupancy
     credit: dict[int, float] = {node: 0.0 for node in nodes}
-    for source in nodes:
-        s = index.first_occurrence_at_or_after(source, 0)
-        if s is None:
-            continue
-        _accumulate_source_dependencies(snapshots, adj, source, s, credit)
+    for a, source in enumerate(nodes):
+        present = occ[:, a]
+        if present.any():
+            s = int(present.argmax())  # first occurrence window
+            _accumulate_source_dependencies(snapshots, adj, source, s, credit)
     norm = (n - 1) * (n - 2) * W
     return [CentralityScore(node, credit[node] / norm) for node in nodes]
 
@@ -422,7 +374,6 @@ def _accumulate_source_dependencies(
     cur_sig: dict[int, float] = {source: 1.0}
     arrival_state: dict[int, tuple[int, int]] = {source: (source, s)}
     pending = n_nodes - 1
-    last_window = s
     for t in range(s, W):
         table = adj[t]
         # carry states forward
@@ -471,10 +422,8 @@ def _accumulate_source_dependencies(
         window_states.extend((v, t) for v in order)
         stack.extend(window_states)
         cur_h, cur_sig = new_h, new_sig
-        last_window = t
         if pending == 0 and t >= max(st[1] for st in arrival_state.values()):
             break
-    del last_window
     # backward accumulation
     delta: dict[tuple[int, int], float] = {st: 0.0 for st in stack}
     is_target_arrival = {

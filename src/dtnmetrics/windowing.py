@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig
 
@@ -35,7 +38,12 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class SnapshotSequence:
-    """The temporal graph: W fixed-width snapshots over one period."""
+    """The temporal graph: W fixed-width snapshots over one period.
+
+    The occupancy array and the infection table are derived once per
+    instance and cached on it, outside the dataclass fields, so equality
+    and hashing still see only the fields.
+    """
 
     window_width: float
     window_count: int
@@ -43,11 +51,45 @@ class SnapshotSequence:
     nodes: tuple[int, ...]
     t_min: float
 
+    @cached_property
+    def occupancy(self) -> np.ndarray:
+        """W x N boolean array: ``occupancy[t, c]`` when ``nodes[c]`` occurs
+        in window t."""
+        column = {node: c for c, node in enumerate(self.nodes)}
+        occ = np.zeros((self.window_count, len(self.nodes)), dtype=bool)
+        for t, snap in enumerate(self.windows):
+            occ[t, [column[n] for n in snap.occupants]] = True
+        return occ
+
+    @cached_property
+    def infection_table(self) -> np.ndarray:
+        """W x N int array: ``H[s, c]`` is the first window >= s infected by a
+        scan started at s in which ``nodes[c]`` occurs, -1 if none.
+
+        A scan from s infects s; a later window is infected when it shares
+        an occupant with the scan's carriers (the nodes it has reached so
+        far, i.e. those with ``H[s, c] >= 0``), and its occupants then
+        join the carriers. One forward pass over t advances the scans of
+        all starts s <= t, touching only the occupants of t.
+        """
+        occ = self.occupancy
+        H = np.full(occ.shape[::-1], -1, dtype=np.int64)  # node-major
+        for t, members in enumerate(occ):
+            cols = np.flatnonzero(members)
+            if cols.size == 0:
+                continue
+            met = (H[cols, :t] >= 0).any(axis=0)
+            block = np.ix_(cols, np.append(np.flatnonzero(met), t))
+            reached = H[block]
+            H[block] = np.where(reached < 0, t, reached)
+        return np.ascontiguousarray(H.T)
+
     def occurrence_windows(self, node: int) -> tuple[int, ...]:
         """Window indices in which the node occurs, ascending."""
-        return tuple(
-            k for k, snap in enumerate(self.windows) if node in snap.occupants
-        )
+        if node not in self.nodes:
+            return ()
+        column = self.occupancy[:, self.nodes.index(node)]
+        return tuple(int(k) for k in np.flatnonzero(column))
 
 
 def pair_aggregates(

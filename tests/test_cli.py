@@ -114,6 +114,13 @@ class TestAnalyzeCommand:
         )
         assert rc == EXIT_OK
 
+    def test_horizon_flag_is_gone(self, capsys, six_node_file):
+        # nothing on the report path reads a hop horizon, so analyze offers none
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", six_node_file, "--horizon", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--horizon" in capsys.readouterr().err
+
 
 class TestMatrixCommand:
     def test_published_matrix(self, capsys, six_node_file):

@@ -1,0 +1,112 @@
+"""Differential tests of the array-backed distances against the oracles.
+
+The traces here exercise the window arithmetic that the generators in
+``conftest`` and ``test_properties`` never produce: events that straddle
+several windows, instants exactly on a window boundary (including
+``t_max``), periods with ``t_min != 0`` and fractional window widths.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtnmetrics import (
+    AnalysisPeriod,
+    ContactEvent,
+    ContactTrace,
+    WindowConfig,
+    build_snapshots,
+    temporal_distance_exact,
+    temporal_distance_matrix,
+    temporal_distance_paper,
+)
+
+from . import oracles
+
+T_MINS = (0.0, 3.5, -40.25, 1234.1)
+WIDTHS = (0.1, 0.3, 2.5, 7.3, 10 / 3)
+# Offsets inside a window, as fractions of w; 0 is the window's left edge.
+OFFSETS = (0.0, 0.25, 0.5, 0.999)
+
+
+@st.composite
+def boundary_traces(draw, max_nodes=7, max_windows=6):
+    """A trace, its period and window config, plus the windows each pair
+    was placed in by construction."""
+    t_min = draw(st.sampled_from(T_MINS))
+    w = draw(st.sampled_from(WIDTHS))
+    W = draw(st.integers(1, max_windows))
+    n = draw(st.integers(2, max_nodes))
+    events = []
+    placed: list[set[tuple[int, int]]] = [set() for _ in range(W)]
+    for _ in range(draw(st.integers(0, 2 * W + 2))):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
+        k0 = draw(st.integers(0, W - 1))
+        f0 = draw(st.sampled_from(OFFSETS))
+        # k1 == W with offset 0 puts the end exactly on t_max
+        k1 = draw(st.integers(k0, min(k0 + 2, W)))
+        f1 = 0.0 if k1 == W else draw(st.sampled_from(OFFSETS))
+        if k1 == k0 and f1 < f0:
+            f1 = f0
+        start = t_min + (k0 + f0) * w
+        end = t_min + (k1 + f1) * w
+        events.append(ContactEvent(a, b, start, end))
+        for k in range(k0, min(k1, W - 1) + 1):
+            placed[k].add((min(a, b), max(a, b)))
+    period = AnalysisPeriod(t_min, t_min + W * w)
+    trace = ContactTrace.from_events(
+        events, extra_nodes=range(n), span=(period.t_min, period.t_max)
+    )
+    return trace, period, WindowConfig(w), placed
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_traces())
+def test_snapshots_place_events_in_intersected_windows(case):
+    trace, period, cfg, placed = case
+    snaps = build_snapshots(trace, period, cfg)
+    assert [set(s.edges) for s in snaps.windows] == placed
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_traces())
+def test_matrix_matches_chain_oracle_entry_by_entry(case):
+    trace, period, cfg, _ = case
+    snaps = build_snapshots(trace, period, cfg)
+    matrix = temporal_distance_matrix(snaps)
+    for i in snaps.nodes:
+        for j in snaps.nodes:
+            want = oracles.paper_distance(snaps, i, j)
+            assert matrix.distance(i, j) == want, (trace.events, i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_traces(max_nodes=6, max_windows=5), st.sampled_from((None, 1, 2)))
+def test_exact_distance_matches_journey_oracle(case, horizon):
+    trace, period, cfg, _ = case
+    snaps = build_snapshots(trace, period, cfg)
+    hcfg = WindowConfig(cfg.w, horizon=horizon)
+    for i in snaps.nodes:
+        for j in snaps.nodes:
+            got = temporal_distance_exact(trace, period, hcfg, i, j, snaps)
+            want = oracles.exact_distance(snaps, i, j, horizon)
+            assert got == want, (trace.events, horizon, i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_traces(), boundary_traces())
+def test_interleaved_sequences_keep_their_own_answers(first, second):
+    seqs = [build_snapshots(trace, period, cfg) for trace, period, cfg, _ in (first, second)]
+    want = [
+        {(i, j): oracles.paper_distance(s, i, j) for i in s.nodes for j in s.nodes}
+        for s in seqs
+    ]
+    # alternate between the two sequences on every call
+    pairs = [sorted(w) for w in want]
+    for k in range(max(len(p) for p in pairs)):
+        for seq, p, expected in zip(seqs, pairs, want):
+            if k < len(p):
+                i, j = p[k]
+                assert temporal_distance_paper(seq, i, j) == expected[(i, j)]
