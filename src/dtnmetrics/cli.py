@@ -59,13 +59,7 @@ def build_report(
 ) -> MetricsReport:
     """Run the full pipeline for one period and assemble the report row."""
     clipped = ingestion.clip_to_period(trace, period)
-    aggs = windowing.pair_aggregates(clipped)
-    if not aggs:
-        raise InputError("no contacts in period")
-    if w is None:
-        w = windowing.recommend_window(aggs)
-    if not w > 0:
-        raise InputError(f"window width must be positive, got {w}")
+    w = _window_width(clipped, w)
     n = len(clipped.nodes)
     if n < 2:
         raise InputError("analysis needs at least 2 nodes in the period")
@@ -115,6 +109,17 @@ def build_report(
         top_temporal_closeness=(top_tclo.node, top_tclo.value),
         top_temporal_betweenness=(top_tbet.node, top_tbet.value),
     )
+
+
+def _window_width(clipped: ContactTrace, w: float | None) -> float:
+    """``w``, or the recommended width for the clipped trace when None."""
+    if not clipped.events:
+        raise InputError("no contacts in period")
+    if w is None:
+        w = windowing.recommend_window(windowing.pair_aggregates(clipped))
+    if not w > 0:
+        raise InputError(f"window width must be positive, got {w}")
+    return w
 
 
 def _fmt_cell(value) -> str:
@@ -221,12 +226,7 @@ def cmd_matrix(args) -> int:
     trace = _load_trace(args.input, args.format)
     period = _resolve_periods(args, trace)[0]
     clipped = ingestion.clip_to_period(trace, period)
-    w = args.window
-    if w is None:
-        aggs = windowing.pair_aggregates(clipped)
-        if not aggs:
-            raise InputError("no contacts in period")
-        w = windowing.recommend_window(aggs)
+    w = _window_width(clipped, args.window)
     snapshots = windowing.build_snapshots(clipped, period, WindowConfig(w=w))
     matrix = temporal_metrics.temporal_distance_matrix(snapshots)
     _write_output(matrix.to_text() + "\n", args.output)

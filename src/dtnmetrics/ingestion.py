@@ -17,6 +17,7 @@ never double counted.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Union
@@ -108,6 +109,8 @@ def parse_common_format(
             inter = float(fields[5])
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", lineno) from None
+        if not (math.isfinite(up) and math.isfinite(down) and math.isfinite(inter)):
+            raise ParseError("non-finite time (nan or inf)", lineno)
         if up > down:
             raise ParseError(f"connection up {up} after down {down}", lineno)
         pair = (src, dst) if src < dst else (dst, src)
@@ -166,6 +169,8 @@ def parse_one_report(
             sim_time = float(fields[0])
         except ValueError:
             raise ParseError(f"non-numeric simulation time {fields[0]!r}", lineno) from None
+        if not math.isfinite(sim_time):
+            raise ParseError(f"non-finite simulation time {fields[0]!r}", lineno)
         saw_rows = True
         last_time = max(last_time, sim_time)
         if fields[1].upper() != "CONN":

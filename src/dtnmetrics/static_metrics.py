@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
+from .temporal_metrics import CentralityScore
 from .trace_model import AnalysisPeriod, ContactTrace
 
 
@@ -71,59 +72,44 @@ def degree(g: AggregatedGraph, i: int) -> int:
     return sum(1 for e in g.edges if i in e)
 
 
-def degree_centrality(g: AggregatedGraph, i: int) -> "CentralityScore":
+def degree_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     """Degree normalized by N-1."""
-    from .temporal_metrics import CentralityScore
-
     if g.n < 2:
         raise ValueError("degree centrality needs at least 2 nodes")
     return CentralityScore(i, degree(g, i) / (g.n - 1))
 
 
-def closeness_centrality(g: AggregatedGraph, i: int) -> "CentralityScore":
+def closeness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     """Normalized closeness: (r-1)/sum(d) scaled by (r-1)/(N-1) where r is
     the size of i's component, so disconnected graphs stay within [0, 1].
     Equals (N-1)/sum(d) on connected graphs; isolated nodes score 0."""
-    from .temporal_metrics import CentralityScore
-
     if i not in g.nodes:
         raise KeyError(f"unknown node id {i}")
     value = nx.closeness_centrality(g.to_networkx(), u=i, wf_improved=True)
     return CentralityScore(i, value)
 
 
-def betweenness_centrality(g: AggregatedGraph, i: int) -> "CentralityScore":
+def betweenness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     """Ordered-pair-normalized shortest-path betweenness."""
-    return _bc_single(g, i)
+    if i not in g.nodes:
+        raise KeyError(f"unknown node id {i}")
+    return betweenness_centrality_all(g)[sorted(g.nodes).index(i)]
 
 
-def betweenness_centrality_all(g: AggregatedGraph) -> list["CentralityScore"]:
-    from .temporal_metrics import CentralityScore
-
+def betweenness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     if g.n < 3:
         raise ValueError("betweenness centrality needs at least 3 nodes")
     values = nx.betweenness_centrality(g.to_networkx(), normalized=True)
     return [CentralityScore(node, values[node]) for node in sorted(g.nodes)]
 
 
-def _bc_single(g: AggregatedGraph, i: int) -> "CentralityScore":
-    if i not in g.nodes:
-        raise KeyError(f"unknown node id {i}")
-    for score in betweenness_centrality_all(g):
-        if score.node == i:
-            return score
-    raise KeyError(f"unknown node id {i}")
-
-
-def degree_centrality_all(g: AggregatedGraph) -> list["CentralityScore"]:
+def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     return [degree_centrality(g, i) for i in sorted(g.nodes)]
 
 
-def closeness_centrality_all(g: AggregatedGraph) -> list["CentralityScore"]:
+def closeness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     graph = g.to_networkx()
     values = nx.closeness_centrality(graph, wf_improved=True)
-    from .temporal_metrics import CentralityScore
-
     return [CentralityScore(node, values[node]) for node in sorted(g.nodes)]
 
 

@@ -10,9 +10,11 @@ Two reachability semantics coexist here:
   a message moves only along actual contact edges, at most ``horizon``
   hops inside one window, forward in window order.
 
-Both run on two arrays cached on the :class:`SnapshotSequence`:
+Both run on arrays cached on the :class:`SnapshotSequence`:
 
 * ``occupancy``, W x N booleans: which node occurs in which window;
+* ``window_graphs``: per window, the occupant columns and the contacts
+  as directed edges between them, grouped for ``np.ufunc.reduceat``;
 * ``infection_table`` H, W x N: ``H[s, n]`` is the first window >= s
   infected by a scan started at s in which n occurs, -1 if none. One
   forward pass over t advances the scans of every start at once; at t
@@ -34,11 +36,19 @@ paper hit) schedule. Sharing the schedule keeps the occurrence semantics
 at most as large as the edge semantics pair by pair, and makes the two
 coincide whenever every window's contact graph is connected over its
 occupants.
+
+Temporal betweenness accumulates Brandes-style dependencies on the
+time-expanded graph (Kim & Anderson, PRE 2012) in one sweep over
+``window_graphs``, sources as rows and nodes as columns. The forward
+pass visits windows with edges until every source reaches every
+occurring node, logging the occupants' pre-window values; the backward
+pass undoes that log window by window. Sources run in blocks of rows
+times busiest-window edges <= ``_BLOCK_ELEMENTS``; a block holds
+O(rows * N) state and an O(rows * total occupancy) log.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +59,10 @@ from .windowing import SnapshotSequence, build_snapshots
 
 #: Matrix export encoding for temporally disconnected pairs.
 UNREACHABLE_SENTINEL = -1
+
+#: Rows times busiest-window edges per betweenness block (see above).
+_BLOCK_ELEMENTS = 1 << 16
+_NO_HOPS = np.iinfo(np.int64).max // 2  # hop count of an unreached state
 
 
 @dataclass(frozen=True)
@@ -253,55 +267,37 @@ def temporal_distance_exact(
         return 0
     labels = snapshots.nodes
     a, b = labels.index(i), labels.index(j)
-    adj = _window_adjacency(snapshots)
+    W = snapshots.window_count
     best: Optional[int] = None
     for s, _, due, paper_hits in _scan_schedule(snapshots, np.array([a])):
         if not due[0, b]:
             continue
-        hit = _edge_scan_hit(snapshots, adj, i, j, s, cfg.horizon)
-        if hit is not None:
-            d = hit - s
-            best = d if best is None else min(best, d)
         if paper_hits[b] < 0:
-            break
+            break  # no occurrence chain reaches j, so no edge journey does
+        stop = W if best is None else min(s + best, W)  # a later hit is no shorter
+        hit = _edge_scan_hit(snapshots, a, b, s, stop, cfg.horizon)
+        if hit is not None:
+            best = hit - s
     return best
 
 
-def _window_adjacency(snapshots: SnapshotSequence) -> list[dict[int, list[int]]]:
-    adj: list[dict[int, list[int]]] = []
-    for snap in snapshots.windows:
-        table: dict[int, list[int]] = {}
-        for a, b in snap.edges:
-            table.setdefault(a, []).append(b)
-            table.setdefault(b, []).append(a)
-        adj.append(table)
-    return adj
-
-
 def _edge_scan_hit(
-    snapshots: SnapshotSequence,
-    adj: list[dict[int, list[int]]],
-    i: int,
-    j: int,
-    s: int,
-    horizon: Optional[int],
+    snapshots: SnapshotSequence, a: int, b: int, s: int, stop: int, horizon: Optional[int]
 ) -> Optional[int]:
-    """First window >= s in which an edge journey from i reaches j."""
-    reach = {i}
-    for t in range(s, snapshots.window_count):
-        table = adj[t]
-        frontier = [n for n in reach if n in table]
-        hops = 0
-        while frontier and (horizon is None or hops < horizon):
-            new = []
-            for u in frontier:
-                for v in table.get(u, ()):
-                    if v not in reach:
-                        reach.add(v)
-                        new.append(v)
-            frontier = new
-            hops += 1
-        if j in reach:
+    """First window in [s, stop) where an edge journey from column a reaches b."""
+    reach = np.arange(len(snapshots.nodes)) == a
+    for t in range(s, stop):
+        cols, src, _, starts = snapshots.window_graphs[t]
+        local = reach[cols]
+        before, hops = np.count_nonzero(local), 0
+        while before and (horizon is None or hops < horizon):
+            local |= np.logical_or.reduceat(local[src], starts)
+            after, hops = np.count_nonzero(local), hops + 1
+            if after == before:
+                break
+            before = after
+        reach[cols] = local
+        if reach[b]:
             return t
     return None
 
@@ -314,10 +310,7 @@ def rank_nodes(scores: list[CentralityScore]) -> list[CentralityScore]:
 def temporal_betweenness(snapshots: SnapshotSequence, i: int) -> CentralityScore:
     """Temporal betweenness of one node (see temporal_betweenness_all)."""
     _check_node(snapshots, i)
-    for score in temporal_betweenness_all(snapshots):
-        if score.node == i:
-            return score
-    raise KeyError(f"unknown node id {i}")
+    return temporal_betweenness_all(snapshots)[snapshots.nodes.index(i)]
 
 
 def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScore]:
@@ -325,117 +318,99 @@ def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScor
 
     For every source j, every target k and every window t, a node i not
     in {j, k} earns U(i,t,j,k)/|S_jk|: the fraction of shortest journeys
-    from j to k holding their message at i during window t. Journeys are
-    shortest by (arrival window difference, then total edge hops); a
-    node holds the message from its arrival window through its departure
-    window. Scores are normalized by (N-1)(N-2) per window and averaged
-    over all W windows, which keeps them in [0, 1].
+    from j to k holding their message at i during window t. Journeys
+    start at j's first occurrence and are shortest by (arrival window,
+    then total edge hops); a node holds the message from its arrival
+    window through its departure window. Scores are normalized by
+    (N-1)(N-2) per window and averaged over all W windows, which keeps
+    them in [0, 1].
     """
     nodes = snapshots.nodes
     n = len(nodes)
     if n < 3:
         raise ValueError("temporal betweenness needs at least 3 nodes")
-    W = snapshots.window_count
-    adj = _window_adjacency(snapshots)
     occ = snapshots.occupancy
-    credit: dict[int, float] = {node: 0.0 for node in nodes}
-    for a, source in enumerate(nodes):
-        present = occ[:, a]
-        if present.any():
-            s = int(present.argmax())  # first occurrence window
-            _accumulate_source_dependencies(snapshots, adj, source, s, credit)
-    norm = (n - 1) * (n - 2) * W
-    return [CentralityScore(node, credit[node] / norm) for node in nodes]
+    first = occ.argmax(axis=0)
+    sources = np.flatnonzero(occ.any(axis=0))
+    sources = sources[np.argsort(first[sources], kind="stable")]
+    widest = max(1, *(len(src) for _, src, _, _ in snapshots.window_graphs))
+    size = max(1, _BLOCK_ELEMENTS // widest)
+    credit = np.zeros(n)
+    for lo in range(0, len(sources), size):
+        block = sources[lo : lo + size]
+        credit += _block_credit(snapshots, block, first[block])
+    norm = (n - 1) * (n - 2) * snapshots.window_count
+    return [CentralityScore(node, float(c) / norm) for node, c in zip(nodes, credit)]
 
 
-def _accumulate_source_dependencies(
-    snapshots: SnapshotSequence,
-    adj: list[dict[int, list[int]]],
-    source: int,
-    s: int,
-    credit: dict[int, float],
-) -> None:
-    """Brandes-style dependency accumulation over the time-expanded DAG.
+def _block_credit(
+    snapshots: SnapshotSequence, sources: np.ndarray, entry: np.ndarray
+) -> np.ndarray:
+    """Summed dependencies of every column on the journeys of one block of
+    sources (the rows), which enter at their first occurrences ``entry``.
 
-    Forward pass: per window, per node, the fewest cumulative edge hops
-    at which a message copy can sit there (carrying between windows is
-    free), with path counts and predecessor states. Backward pass seeds
-    1 at each target's arrival state and pushes fractions back through
-    the DAG; every state a fraction passes through is a residence window
-    of its node.
+    ``h`` counts the fewest cumulative edge hops to a node, ``sigma`` the
+    journeys taking them; edge u -> v is tight when ``h[u] + 1 == h[v]``.
+    A carry edge joins a node's states in consecutive windows where its
+    pre-window ``h`` is finite and unchanged; where it is infinite the
+    node arrives (a source's own entry has no predecessors to credit).
     """
-    W = snapshots.window_count
-    n_nodes = len(snapshots.nodes)
-    # per-state tables keyed by (node, window)
-    sigma: dict[tuple[int, int], float] = {}
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    stack: list[tuple[int, int]] = []
-    cur_h: dict[int, int] = {source: 0}
-    cur_sig: dict[int, float] = {source: 1.0}
-    arrival_state: dict[int, tuple[int, int]] = {source: (source, s)}
-    pending = n_nodes - 1
-    for t in range(s, W):
-        table = adj[t]
-        # carry states forward
-        new_h = dict(cur_h)
-        new_sig = dict(cur_sig)
-        carry_pred: dict[int, bool] = {v: t > s for v in cur_h}
-        # within-window relaxation: Dijkstra by cumulative hops
-        heap = [(h, v) for v, h in cur_h.items() if v in table]
-        heapq.heapify(heap)
-        local_preds: dict[int, list[tuple[int, int]]] = {}
-        settled: set[int] = set()
-        order: list[int] = []
-        while heap:
-            h, u = heapq.heappop(heap)
-            if u in settled or new_h.get(u, h) < h:
-                continue
-            settled.add(u)
-            order.append(u)
-            for v in table.get(u, ()):
-                nh = h + 1
-                old = new_h.get(v)
-                if old is None or nh < old:
-                    new_h[v] = nh
-                    new_sig[v] = new_sig[u]
-                    local_preds[v] = [(u, t)]
-                    carry_pred[v] = False
-                    heapq.heappush(heap, (nh, v))
-                elif nh == old:
-                    new_sig[v] = new_sig.get(v, 0.0) + new_sig[u]
-                    local_preds.setdefault(v, []).append((u, t))
-        # materialize states for this window
-        for v in new_h:
-            st = (v, t)
-            sigma[st] = new_sig[v]
-            p: list[tuple[int, int]] = []
-            if carry_pred.get(v):
-                p.append((v, t - 1))
-            p.extend(local_preds.get(v, ()))
-            preds[st] = p
-            if v not in arrival_state:
-                arrival_state[v] = st
-                pending -= 1
-        # push states in settle order after carry-only states so the
-        # reverse sweep sees successors before predecessors
-        window_states = [(v, t) for v in new_h if v not in settled]
-        window_states.extend((v, t) for v in order)
-        stack.extend(window_states)
-        cur_h, cur_sig = new_h, new_sig
-        if pending == 0 and t >= max(st[1] for st in arrival_state.values()):
+    rows = np.arange(len(sources))
+    h = np.full((len(sources), len(snapshots.nodes)), _NO_HOPS)
+    sigma = np.zeros(h.shape)
+    # (row, occurring column) states not reached yet, sources included
+    pending = len(sources) * np.count_nonzero(snapshots.occupancy.any(axis=0))
+    log = []
+    for t in range(entry.min(), snapshots.window_count):
+        if pending == 0:
             break
-    # backward accumulation
-    delta: dict[tuple[int, int], float] = {st: 0.0 for st in stack}
-    is_target_arrival = {
-        st: True for node, st in arrival_state.items() if node != source
-    }
-    for st in reversed(stack):
-        coef = delta[st] + (1.0 if is_target_arrival.get(st) else 0.0)
-        if coef == 0.0:
+        cols, src, dst, starts = snapshots.window_graphs[t]
+        if cols.size == 0:
             continue
-        coef /= sigma[st]
-        for p in preds[st]:
-            delta[p] += sigma[p] * coef
-    for (v, _t), d in delta.items():
-        if v != source and d:
-            credit[v] += d
+        h_pre, sigma_pre = h[:, cols], sigma[:, cols]
+        entering = entry == t
+        enter = (rows[entering], np.searchsorted(cols, sources[entering]))
+        ht = h_pre.copy()
+        ht[enter] = 0
+        while True:
+            relaxed = np.minimum(ht, np.minimum.reduceat(ht[:, src] + 1, starts, axis=1))
+            if not np.count_nonzero(relaxed != ht):
+                break
+            ht = relaxed
+        tight = ht[:, src] + 1 == ht[:, dst]
+        base = np.where(ht == h_pre, sigma_pre, 0.0)
+        base[enter] = 1.0
+        st = base
+        while True:
+            summed = base + np.add.reduceat(np.where(tight, st[:, src], 0.0), starts, axis=1)
+            if not np.count_nonzero(summed != st):
+                break
+            st = summed
+        pending -= np.count_nonzero(ht < _NO_HOPS) - np.count_nonzero(h_pre < _NO_HOPS)
+        h[:, cols], sigma[:, cols] = ht, st
+        log.append((t, h_pre, sigma_pre))
+    delta = np.zeros(h.shape)
+    credit = np.zeros(h.shape)
+    later = log[-1][0] + 1
+    for t, h_pre, sigma_pre in reversed(log):
+        cols, src, dst, starts = snapshots.window_graphs[t]
+        credit += (later - t - 1) * delta  # the edgeless windows between
+        ht, st = h[:, cols], sigma[:, cols]
+        back = ht[:, dst] + 1 == ht[:, src]  # tight edges dst -> src
+        arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
+        carried = dt = delta[:, cols]
+        while True:
+            share = (dt + arrived) / np.maximum(st, 1.0)
+            pushed = np.add.reduceat(np.where(back, share[:, src], 0.0), starts, axis=1)
+            summed = carried + st * pushed
+            if not np.count_nonzero(summed != dt):
+                break
+            dt = summed
+        delta[:, cols] = dt
+        credit += delta
+        carry = (h_pre == ht) & (h_pre < _NO_HOPS)
+        delta[:, cols] = np.where(carry, sigma_pre * share, 0.0)
+        h[:, cols], sigma[:, cols] = h_pre, sigma_pre
+        later = t
+    credit[rows, sources] = 0.0
+    return credit.sum(axis=0)

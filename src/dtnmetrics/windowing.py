@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -40,9 +41,9 @@ class Snapshot:
 class SnapshotSequence:
     """The temporal graph: W fixed-width snapshots over one period.
 
-    The occupancy array and the infection table are derived once per
-    instance and cached on it, outside the dataclass fields, so equality
-    and hashing still see only the fields.
+    The occupancy array, the window graphs and the infection table are
+    derived once per instance and cached on it, outside the dataclass
+    fields, so equality and hashing still see only the fields.
     """
 
     window_width: float
@@ -60,6 +61,39 @@ class SnapshotSequence:
         for t, snap in enumerate(self.windows):
             occ[t, [column[n] for n in snap.occupants]] = True
         return occ
+
+    @cached_property
+    def window_graphs(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per window ``(cols, src, dst, starts)``: the occupant columns,
+        ascending; each contact as two directed edges ``src -> dst``, indices
+        into ``cols``, grouped by ``dst``; and ``starts[k]``, the first edge
+        into occupant k, for ``np.ufunc.reduceat``. The edge set is
+        symmetric, so read as ``dst -> src`` the same arrays group by tail."""
+        n, count = len(self.nodes), self.window_count
+        sizes = [len(snap.edges) for snap in self.windows]
+        ends = chain.from_iterable(chain.from_iterable(s.edges for s in self.windows))
+        flat = np.fromiter(ends, dtype=np.intp, count=2 * sum(sizes))
+        pairs = np.searchsorted(np.array(self.nodes), flat).reshape(-1, 2)
+        # both directions of every contact, ends as keys window * n + column
+        base = np.repeat(np.arange(count) * n, sizes)
+        head = np.concatenate([base + pairs[:, 1], base + pairs[:, 0]])
+        tail = np.concatenate([base + pairs[:, 0], base + pairs[:, 1]])
+        del flat, pairs, base  # free edge-sized temporaries as soon as done
+        order = np.argsort(head, kind="stable")
+        head, tail = head[order], tail[order]
+        del order
+        states = head[np.diff(head, prepend=-1) != 0]  # (window, occupant) keys
+        first_state = np.searchsorted(states // n, np.arange(count + 1))
+        first_edge = np.searchsorted(head // n, np.arange(count + 1))
+        src = np.searchsorted(states, tail) - first_state[tail // n]
+        dst = np.searchsorted(states, head) - first_state[head // n]
+        starts = np.searchsorted(head, states) - first_edge[states // n]
+        cols = states % n
+        bounds = zip(first_state, first_state[1:], first_edge, first_edge[1:])
+        return tuple(
+            (cols[s0:s1], src[e0:e1], dst[e0:e1], starts[s0:s1])
+            for s0, s1, e0, e1 in bounds
+        )
 
     @cached_property
     def infection_table(self) -> np.ndarray:

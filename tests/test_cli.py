@@ -114,6 +114,13 @@ class TestAnalyzeCommand:
         )
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("row", ["0 1 5 inf 1 0", "0 1 nan 5 1 0"])
+    def test_non_finite_time_is_usage_error(self, capsys, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(row + "\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        assert "line 1: non-finite time" in capsys.readouterr().err
+
     def test_horizon_flag_is_gone(self, capsys, six_node_file):
         # nothing on the report path reads a hop horizon, so analyze offers none
         with pytest.raises(SystemExit) as exc:
@@ -147,6 +154,19 @@ class TestMatrixCommand:
             " [-1, 1, 0, 1, 0, 0],\n"
             " [-1, 1, 0, 1, 0, 0]]\n"
         )
+
+    @pytest.mark.parametrize("window", ["0", "-60"])
+    def test_non_positive_window_is_usage_error(self, capsys, six_node_file, window):
+        rc = main(["matrix", "--input", six_node_file, "--window", window])
+        assert rc == EXIT_USAGE
+        assert "window width must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [[], ["--window", "60"]])
+    def test_empty_period_is_usage_error(self, capsys, six_node_file, window):
+        period = ["--tmin", "2000", "--tmax", "3000"]
+        rc = main(["matrix", "--input", six_node_file, *period, *window])
+        assert rc == EXIT_USAGE
+        assert "no contacts in period" in capsys.readouterr().err
 
 
 class TestConvertCommand:

@@ -1,4 +1,5 @@
-"""Differential tests of the array-backed distances against the oracles.
+"""Differential tests of the array-backed distances and betweenness
+against the oracles.
 
 The traces here exercise the window arithmetic that the generators in
 ``conftest`` and ``test_properties`` never produce: events that straddle
@@ -8,15 +9,18 @@ several windows, instants exactly on a window boundary (including
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtnmetrics import temporal_metrics
 from dtnmetrics import (
     AnalysisPeriod,
     ContactEvent,
     ContactTrace,
     WindowConfig,
     build_snapshots,
+    temporal_betweenness_all,
     temporal_distance_exact,
     temporal_distance_matrix,
     temporal_distance_paper,
@@ -110,3 +114,50 @@ def test_interleaved_sequences_keep_their_own_answers(first, second):
             if k < len(p):
                 i, j = p[k]
                 assert temporal_distance_paper(seq, i, j) == expected[(i, j)]
+
+
+@st.composite
+def betweenness_traces(draw):
+    """A boundary trace plus, on demand, a node whose first occurrence is
+    the last window and up to two nodes that never occur in the period."""
+    trace, period, cfg, _ = draw(boundary_traces(max_nodes=6, max_windows=5))
+    n = len(trace.nodes)
+    events = list(trace.events)
+    if draw(st.booleans()):
+        at = period.t_max - draw(st.sampled_from(OFFSETS[1:])) * cfg.w
+        events.append(ContactEvent(n, draw(st.integers(0, n - 1)), at, at))
+    idle = draw(st.integers(0, 2))
+    trace = ContactTrace.from_events(
+        events, extra_nodes=range(n + 1 + idle), span=(period.t_min, period.t_max)
+    )
+    return trace, period, cfg
+
+
+def _scores(snaps):
+    return {s.node: s.value for s in temporal_betweenness_all(snaps)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(betweenness_traces())
+def test_betweenness_matches_enumeration_oracle(case):
+    trace, period, cfg = case
+    snaps = build_snapshots(trace, period, cfg)
+    got = _scores(snaps)
+    want = oracles.betweenness(snaps)
+    for node in snaps.nodes:
+        assert got[node] == pytest.approx(want[node], abs=1e-9), (trace.events, node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(betweenness_traces())
+def test_betweenness_blocks_of_one_and_two_rows_agree(case):
+    trace, period, cfg = case
+    snaps = build_snapshots(trace, period, cfg)
+    whole = _scores(snaps)
+    widest = max(len(src) for _, src, _, _ in snaps.window_graphs)
+    for budget in (1, 2 * widest):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", budget)
+            blocked = _scores(snaps)
+        for node in snaps.nodes:
+            assert blocked[node] == pytest.approx(whole[node], rel=1e-12, abs=1e-15)

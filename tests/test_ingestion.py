@@ -73,6 +73,13 @@ class TestParseCommonFormat:
         with pytest.raises(ParseError, match="up.*after down"):
             parse_common_format("1 3 600 500 1 0")
 
+    @pytest.mark.parametrize(
+        "row", ["0 1 5 inf 1 0", "0 1 nan 5 1 0", "0 1 -inf 5 1 0", "0 1 1 5 1 nan"]
+    )
+    def test_non_finite_times_rejected(self, row):
+        with pytest.raises(ParseError, match="line 2: non-finite time"):
+            parse_common_format("0 1 0 1 1 0\n" + row)
+
     def test_overlapping_same_pair_intervals_merged(self):
         text = "1 2 100 200 1 0\n1 2 150 300 2 50\n"
         trace = parse_common_format(text)
@@ -121,6 +128,11 @@ class TestParseOneReport:
         )
         assert len(trace.events) == 1
         assert any("non-CONN" in w.message for w in warnings)
+
+    @pytest.mark.parametrize("time", ["inf", "nan", "-inf", "Infinity"])
+    def test_non_finite_simulation_time_rejected(self, time):
+        with pytest.raises(ParseError, match="line 2: non-finite simulation time"):
+            parse_one_report(f"1 CONN 0 1 up\n{time} CONN 0 1 down")
 
     def test_unknown_action_rejected(self):
         with pytest.raises(ParseError, match="unknown action"):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,32 @@ class TestTemporalBetweenness:
         snaps = build_snapshots(trace, AnalysisPeriod(0, 10), WindowConfig(10))
         with pytest.raises(ValueError):
             temporal_betweenness_all(snaps)
+
+    def test_sweep_memory_stays_within_its_blocks(self):
+        # 98 nodes, about 900 contacts in every window; the last node occurs
+        # only in the last window, so no source stops early. One block of all
+        # 98 sources peaks above 6 MB here; blocks sized by the busiest
+        # window keep the sweep near 2 MB.
+        rnd = random.Random(3)
+        nodes, windows, w = 98, 12, 10.0
+        events = []
+        for t in range(windows):
+            for _ in range(1000):
+                a, b = rnd.sample(range(nodes - 1), 2)
+                start = t * w + rnd.uniform(1, 8)
+                events.append(ContactEvent(a, b, start, start + 0.5))
+        last = (windows - 1) * w + 5
+        events.append(ContactEvent(nodes - 1, 0, last, last))
+        trace = ContactTrace.from_events(events, span=(0, windows * w))
+        snaps = build_snapshots(trace, AnalysisPeriod(0, windows * w), WindowConfig(w))
+        snaps.occupancy, snaps.window_graphs  # cached structures, built once
+        tracemalloc.start()
+        try:
+            temporal_betweenness_all(snaps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(60):
