@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from .trace_model import AnalysisPeriod, ContactEvent, ContactTrace
 
@@ -44,10 +44,21 @@ class ParseWarning:
     message: str
 
 
-def _lines(text: TextSource) -> Iterable[str]:
-    if isinstance(text, str):
-        return text.splitlines()
-    return text
+def _rows(text: TextSource) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` per non-blank row; a non-numeric first one is a header."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    first = True
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if first:
+            first = False
+            try:
+                float(fields[0])
+            except ValueError:
+                continue
+        yield lineno, fields
 
 
 def _merge_pair_overlaps(events: list[ContactEvent]) -> list[ContactEvent]:
@@ -70,14 +81,6 @@ def _merge_pair_overlaps(events: list[ContactEvent]) -> list[ContactEvent]:
     return merged
 
 
-def _looks_numeric(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
 def parse_common_format(
     text: TextSource, warnings: Optional[list[ParseWarning]] = None
 ) -> ContactTrace:
@@ -91,13 +94,7 @@ def parse_common_format(
     events: list[ContactEvent] = []
     last_up: dict[tuple[int, int], float] = {}
     occ_seen: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if lineno == 1 and not _looks_numeric(fields[0]):
-            continue  # header
+    for lineno, fields in _rows(text):
         if len(fields) != 6:
             raise ParseError(f"expected 6 columns, got {len(fields)}", lineno)
         try:
@@ -113,6 +110,8 @@ def parse_common_format(
             raise ParseError("non-finite time (nan or inf)", lineno)
         if up > down:
             raise ParseError(f"connection up {up} after down {down}", lineno)
+        if src == dst:
+            raise ParseError(f"self-contact of node {src}", lineno)
         pair = (src, dst) if src < dst else (dst, src)
         expected_occ = occ_seen.get(pair, 0) + 1
         occ_seen[pair] = expected_occ
@@ -156,13 +155,7 @@ def parse_one_report(
     events: list[ContactEvent] = []
     last_time = 0.0
     saw_rows = False
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if lineno == 1 and not _looks_numeric(fields[0]):
-            continue  # header
+    for lineno, fields in _rows(text):
         if len(fields) != 5:
             raise ParseError(f"expected 5 columns, got {len(fields)}", lineno)
         try:
@@ -178,6 +171,8 @@ def parse_one_report(
             continue
         n1 = _node_id(fields[2], lineno)
         n2 = _node_id(fields[3], lineno)
+        if n1 == n2:
+            raise ParseError(f"self-contact of node {n1}", lineno)
         action = fields[4].lower()
         pair = (n1, n2) if n1 < n2 else (n2, n1)
         if action == "up":

@@ -45,6 +45,12 @@ class RwpParams:
             raise ValueError("tick must be positive")
         if self.area_width <= 0 or self.area_height <= 0:
             raise ValueError("area dimensions must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        sizes = [self.duration, self.speed_max, self.pause_max, self.tick,
+                 self.area_width, self.area_height]
+        if not np.isfinite(sizes).all():
+            raise ValueError("duration, speed, pause, tick and area must be finite")
 
 
 def _waypoint_track(rng: np.random.Generator, p: RwpParams):

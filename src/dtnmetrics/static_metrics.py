@@ -7,6 +7,7 @@ columns reported next to the temporal metrics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import networkx as nx
@@ -104,7 +105,11 @@ def betweenness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
 
 
 def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
-    return [degree_centrality(g, i) for i in sorted(g.nodes)]
+    """degree_centrality of every node in one pass (a self-loop counts once)."""
+    if g.n < 2:
+        raise ValueError("degree centrality needs at least 2 nodes")
+    links = Counter(node for edge in g.edges for node in set(edge))
+    return [CentralityScore(i, links[i] / (g.n - 1)) for i in sorted(g.nodes)]
 
 
 def closeness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:

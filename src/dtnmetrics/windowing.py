@@ -6,6 +6,9 @@ occurrences. The trace is then materialized as a sequence of W =
 ceil((t_max - t_min)/w) snapshots; window k covers the half-open
 interval [t_min + k*w, t_min + (k+1)*w), with the final window closed
 at t_max so every instant maps to exactly one window.
+
+:func:`build_snapshots` places the events in ``SnapshotSequence.contacts``, the one
+array holding the graph; every other view of the windows is derived from it.
 """
 
 from __future__ import annotations
@@ -37,29 +40,37 @@ class Snapshot:
     occupants: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotSequence:
     """The temporal graph: W fixed-width snapshots over one period.
 
-    The occupancy array, the window graphs and the infection table are
-    derived once per instance and cached on it, outside the dataclass
-    fields, so equality and hashing still see only the fields.
+    ``contacts`` is the graph: an (M, 3) integer array with one row
+    ``(window, col_a, col_b)`` per contact per window, sorted and free of
+    duplicates, where ``col_a < col_b`` index ``nodes``. Every other view
+    (the ``windows`` snapshots, the occupancy array, the window graphs and
+    the infection table) is derived from it once per instance and cached.
     """
 
     window_width: float
     window_count: int
-    windows: tuple[Snapshot, ...]
+    contacts: np.ndarray
     nodes: tuple[int, ...]
-    t_min: float
+
+    @cached_property
+    def windows(self) -> tuple[Snapshot, ...]:
+        """One Snapshot per window, in node ids."""
+        edges: list[list[tuple[int, int]]] = [[] for _ in range(self.window_count)]
+        for t, a, b in self.contacts.tolist():
+            edges[t].append((self.nodes[a], self.nodes[b]))
+        return tuple(Snapshot(frozenset(e), frozenset(chain(*e))) for e in edges)
 
     @cached_property
     def occupancy(self) -> np.ndarray:
         """W x N boolean array: ``occupancy[t, c]`` when ``nodes[c]`` occurs
         in window t."""
-        column = {node: c for c, node in enumerate(self.nodes)}
+        t, a, b = self.contacts.T
         occ = np.zeros((self.window_count, len(self.nodes)), dtype=bool)
-        for t, snap in enumerate(self.windows):
-            occ[t, [column[n] for n in snap.occupants]] = True
+        occ[t, a] = occ[t, b] = True
         return occ
 
     @cached_property
@@ -70,21 +81,15 @@ class SnapshotSequence:
         into occupant k, for ``np.ufunc.reduceat``. The edge set is
         symmetric, so read as ``dst -> src`` the same arrays group by tail."""
         n, count = len(self.nodes), self.window_count
-        sizes = [len(snap.edges) for snap in self.windows]
-        ends = chain.from_iterable(chain.from_iterable(s.edges for s in self.windows))
-        flat = np.fromiter(ends, dtype=np.intp, count=2 * sum(sizes))
-        pairs = np.searchsorted(np.array(self.nodes), flat).reshape(-1, 2)
+        t, a, b = self.contacts.T
         # both directions of every contact, ends as keys window * n + column
-        base = np.repeat(np.arange(count) * n, sizes)
-        head = np.concatenate([base + pairs[:, 1], base + pairs[:, 0]])
-        tail = np.concatenate([base + pairs[:, 0], base + pairs[:, 1]])
-        del flat, pairs, base  # free edge-sized temporaries as soon as done
+        head = np.concatenate([t * n + b, t * n + a])
+        tail = np.concatenate([t * n + a, t * n + b])
         order = np.argsort(head, kind="stable")
         head, tail = head[order], tail[order]
-        del order
-        states = head[np.diff(head, prepend=-1) != 0]  # (window, occupant) keys
-        first_state = np.searchsorted(states // n, np.arange(count + 1))
-        first_edge = np.searchsorted(head // n, np.arange(count + 1))
+        states = np.flatnonzero(self.occupancy)  # (window, occupant) keys
+        first_state = np.searchsorted(states, np.arange(count + 1) * n)
+        first_edge = np.searchsorted(head, np.arange(count + 1) * n)
         src = np.searchsorted(states, tail) - first_state[tail // n]
         dst = np.searchsorted(states, head) - first_state[head // n]
         starts = np.searchsorted(head, states) - first_edge[states // n]
@@ -187,26 +192,26 @@ def build_snapshots(
     """
     w = cfg.w
     count = window_count(period, w)
-    edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(count)]
-    for ev in trace.events:
-        if ev.end < period.t_min or ev.start > period.t_max:
-            continue
-        start = max(ev.start, period.t_min)
-        end = min(ev.end, period.t_max)
-        k0 = int(math.floor((start - period.t_min) / w + 1e-9))
-        k1 = int(math.floor((end - period.t_min) / w + 1e-9))
-        k0 = min(max(k0, 0), count - 1)
-        k1 = min(max(k1, 0), count - 1)
-        for k in range(k0, k1 + 1):
-            edge_sets[k].add(ev.pair)
-    snaps = []
-    for es in edge_sets:
-        occupants = frozenset(n for pair in es for n in pair)
-        snaps.append(Snapshot(frozenset(es), occupants))
+    nodes = tuple(sorted(trace.nodes))
+    column = {node: c for c, node in enumerate(nodes)}
+    events, size = trace.events, len(trace.events)
+    a = np.fromiter((column[ev.a] for ev in events), np.intp, size)
+    b = np.fromiter((column[ev.b] for ev in events), np.intp, size)
+    start = np.fromiter((ev.start for ev in events), float, size)
+    end = np.fromiter((ev.end for ev in events), float, size)
+    inside = (end >= period.t_min) & (start <= period.t_max)
+    # windows of the ends; clamping to [0, W-1] clips the event to the period
+    k = np.floor((np.stack([start, end])[:, inside] - period.t_min) / w + 1e-9)
+    k0, k1 = np.clip(k, 0, count - 1).astype(np.intp)
+    spans = np.maximum(k1 - k0 + 1, 0)
+    # one row per event per window it intersects, then sorted and de-duplicated
+    window = np.repeat(k0 - np.cumsum(spans) + spans, spans) + np.arange(spans.sum())
+    a, b = np.repeat(a[inside], spans), np.repeat(b[inside], spans)
+    rows = np.stack([window, a, b], axis=1)[np.lexsort((b, a, window))]
+    fresh = np.diff(rows, axis=0, prepend=-1).any(axis=1)
     return SnapshotSequence(
         window_width=float(w),
         window_count=count,
-        windows=tuple(snaps),
-        nodes=tuple(sorted(trace.nodes)),
-        t_min=period.t_min,
+        contacts=rows[fresh],
+        nodes=nodes,
     )

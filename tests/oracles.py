@@ -11,7 +11,31 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
+
+from dtnmetrics import window_count
+
+
+def placed_edges(trace, period, w):
+    """Edge set per window by the scalar placement rule: an event clipped to
+    the period is an edge of every window from that of its start through
+    that of its end, window k of time t being floor((t - t_min)/w + 1e-9)
+    clamped to [0, W-1]. One event and one window at a time."""
+    count = window_count(period, w)
+    edges = [set() for _ in range(count)]
+    for ev in trace.events:
+        if ev.end < period.t_min or ev.start > period.t_max:
+            continue
+        start = max(ev.start, period.t_min)
+        end = min(ev.end, period.t_max)
+        k0 = int(math.floor((start - period.t_min) / w + 1e-9))
+        k1 = int(math.floor((end - period.t_min) / w + 1e-9))
+        k0 = min(max(k0, 0), count - 1)
+        k1 = min(max(k1, 0), count - 1)
+        for k in range(k0, k1 + 1):
+            edges[k].add(ev.pair)
+    return edges
 
 
 def occ_sets(snapshots):

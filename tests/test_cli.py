@@ -1,7 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from dtnmetrics import (
     AnalysisPeriod,
+    ContactEvent,
+    ContactTrace,
     parse_common_format,
     parse_one_report,
     write_common_format,
@@ -11,6 +15,7 @@ from dtnmetrics.cli import (
     EXIT_OK,
     EXIT_USAGE,
     InputError,
+    _window_width,
     build_report,
     format_reports,
     main,
@@ -120,6 +125,22 @@ class TestAnalyzeCommand:
         path.write_text(row + "\n")
         assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
         assert "line 1: non-finite time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("common", "0 1 0 1 1 0\n0 0 1 5 1 0\n"), ("one", "0 CONN 1 2 up\n1 CONN 0 0 up\n")],
+    )
+    def test_self_contact_is_usage_error(self, capsys, tmp_path, fmt, text):
+        path = tmp_path / "self.txt"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path), "--format", fmt]) == EXIT_USAGE
+        assert "line 2: self-contact of node 0" in capsys.readouterr().err
+
+    def test_header_after_blank_line(self, capsys, tmp_path, six_node_file):
+        path = tmp_path / "blank_first.txt"
+        with open(six_node_file) as fh:
+            path.write_text("\n" + fh.read())
+        assert main(["analyze", "--input", str(path), "--window", "300"]) == EXIT_OK
 
     def test_horizon_flag_is_gone(self, capsys, six_node_file):
         # nothing on the report path reads a hop horizon, so analyze offers none
@@ -263,3 +284,52 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "build_report", boom)
         assert main(["analyze", "--input", six_node_file]) == EXIT_INTERNAL
+
+    @pytest.mark.parametrize("command", ["analyze", "matrix"])
+    def test_value_error_inside_the_analysis_is_exit_one(
+        self, capsys, monkeypatch, six_node_file, command
+    ):
+        import dtnmetrics.temporal_metrics as tm
+
+        def bug(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(tm, "temporal_distance_matrix", bug)
+        assert main([command, "--input", six_node_file, "--window", "300"]) == EXIT_INTERNAL
+        assert "internal error: bug" in capsys.readouterr().err
+
+    def test_undecodable_input_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe0 1 2 3 1 0\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--speed-max", "inf"], ["--tick", "inf"]])
+    def test_bad_generate_parameter_is_usage_error(self, capsys, flag):
+        assert main(["generate", "--nodes", "3", "--duration", "10", *flag]) == EXIT_USAGE
+
+
+class TestWindowCountBound:
+    @pytest.mark.parametrize("command", ["analyze", "matrix"])
+    def test_tiny_window_rejected_before_allocation(self, capsys, six_node_file, command):
+        tracemalloc.start()
+        try:
+            rc = main([command, "--input", six_node_file, "--window", "1e-6"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_USAGE
+        assert "too fine" in capsys.readouterr().err
+        assert peak < 1 << 20
+
+    def test_unbounded_period_is_usage_error(self, capsys, six_node_file):
+        rc = main(["analyze", "--input", six_node_file, "--tmin=-inf", "--window", "300"])
+        assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("nodes, windows", [(100, 8000), (10, 25298), (2, 56568)])
+    def test_admits_the_measured_sizes(self, nodes, windows):
+        period = AnalysisPeriod(0, windows * 60)
+        clipped = ContactTrace.from_events([ContactEvent(0, 1, 0, 60)], extra_nodes=range(nodes))
+        assert _window_width(clipped, period, 60.0) == 60.0
+        with pytest.raises(InputError, match="too fine"):
+            _window_width(clipped, period, 59.0)

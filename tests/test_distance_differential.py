@@ -5,10 +5,13 @@ The traces here exercise the window arithmetic that the generators in
 ``conftest`` and ``test_properties`` never produce: events that straddle
 several windows, instants exactly on a window boundary (including
 ``t_max``), periods with ``t_min != 0`` and fractional window widths.
+Snapshot placement is also fuzzed with float-noise times against the
+scalar placement loop, with node ids beyond float64 precision.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,3 +164,51 @@ def test_betweenness_blocks_of_one_and_two_rows_agree(case):
             blocked = _scores(snaps)
         for node in snaps.nodes:
             assert blocked[node] == pytest.approx(whole[node], rel=1e-12, abs=1e-15)
+
+
+# Ids at and above 2**53, where neighbouring integers share one float64.
+FLOAT_NOISE_IDS = (0, 1, 7, 2**53, 2**53 + 1, 2**64 + 1)
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_noise_traces(draw):
+    """A trace with arbitrary float times rather than window boundaries:
+    events before, across and after the period, ``t_min != 0`` and
+    fractional ``w``."""
+    t_min = draw(st.floats(-1e6, 1e6, **FINITE))
+    w = draw(st.floats(1e-3, 1e3, **FINITE))
+    span = w * draw(st.floats(0.01, 6.0, **FINITE))
+    ids = draw(st.lists(st.sampled_from(FLOAT_NOISE_IDS), min_size=2, max_size=5, unique=True))
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = draw(st.permutations(ids))[:2]
+        start = t_min + w * draw(st.floats(-2.0, span / w + 2.0, **FINITE))
+        end = start + w * draw(st.floats(0.0, 3.0, **FINITE))
+        events.append(ContactEvent(a, b, start, end))
+    trace = ContactTrace.from_events(events, extra_nodes=ids)
+    return trace, AnalysisPeriod(t_min, t_min + span), WindowConfig(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_noise_traces())
+def test_placement_matches_scalar_loop_on_float_noise(case):
+    trace, period, cfg = case
+    seq = build_snapshots(trace, period, cfg)
+    view = [set(s.edges) for s in seq.windows]
+    assert view == oracles.placed_edges(trace, period, cfg.w)
+    rows = [tuple(r) for r in seq.contacts.tolist()]
+    assert rows == sorted(set(rows)) and all(a < b for _, a, b in rows)
+    nodes = seq.nodes
+    assert nodes == tuple(sorted(trace.nodes))
+    for t, edges in enumerate(view):
+        occupants = {n for pair in edges for n in pair}
+        assert seq.windows[t].occupants == occupants
+        assert {nodes[c] for c in np.flatnonzero(seq.occupancy[t])} == occupants
+        cols, src, dst, starts = seq.window_graphs[t]
+        assert [nodes[c] for c in cols] == sorted(occupants)
+        assert len(src) == len(dst) == 2 * len(edges)
+        directed = {(nodes[cols[u]], nodes[cols[v]]) for u, v in zip(src, dst)}
+        assert directed == edges | {(b, a) for a, b in edges}
+        assert np.all(np.diff(dst) >= 0)
+        assert starts.tolist() == np.searchsorted(dst, np.arange(len(cols))).tolist()

@@ -80,6 +80,19 @@ class TestParseCommonFormat:
         with pytest.raises(ParseError, match="line 2: non-finite time"):
             parse_common_format("0 1 0 1 1 0\n" + row)
 
+    def test_self_contact_rejected(self):
+        with pytest.raises(ParseError, match="line 2: self-contact of node 0"):
+            parse_common_format("0 1 0 1 1 0\n0 0 1 5 1 0")
+
+    def test_header_after_blank_lines_is_skipped(self):
+        text = "\n  \nsource destination conn_up conn_down occ intercontact\n" + TABLE_ROWS
+        assert len(parse_common_format(text).events) == 4
+
+    def test_only_the_first_row_may_be_a_header(self):
+        text = "source destination up down occ inter\n" + TABLE_ROWS + "a b c d e f\n"
+        with pytest.raises(ParseError, match="line 6: non-numeric field"):
+            parse_common_format(text)
+
     def test_overlapping_same_pair_intervals_merged(self):
         text = "1 2 100 200 1 0\n1 2 150 300 2 50\n"
         trace = parse_common_format(text)
@@ -133,6 +146,15 @@ class TestParseOneReport:
     def test_non_finite_simulation_time_rejected(self, time):
         with pytest.raises(ParseError, match="line 2: non-finite simulation time"):
             parse_one_report(f"1 CONN 0 1 up\n{time} CONN 0 1 down")
+
+    @pytest.mark.parametrize("row", ["3 CONN 3 3 up", "3 CONN n3 3 down"])
+    def test_self_contact_rejected(self, row):
+        with pytest.raises(ParseError, match="line 2: self-contact of node 3"):
+            parse_one_report("1 CONN 1 2 up\n" + row)
+
+    def test_header_after_blank_lines_is_skipped(self):
+        text = "\n\ntime op a b action\n0.1 CONN 22 9 up\n83.6 CONN 9 22 down\n"
+        assert parse_one_report(text).events == (ContactEvent(9, 22, 0.1, 83.6),)
 
     def test_unknown_action_rejected(self):
         with pytest.raises(ParseError, match="unknown action"):

@@ -40,6 +40,15 @@ class TestRwpParams:
         with pytest.raises(ValueError):
             small_params(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"seed": -1}] + [{key: float("inf")} for key in
+                          ("duration", "speed_max", "pause_max", "tick", "area_width", "area_height")],
+    )
+    def test_infinite_sizes_and_negative_seed_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            small_params(**overrides)
+
 
 class TestTracks:
     def test_tracks_cover_duration(self):

@@ -12,6 +12,7 @@ from dtnmetrics import (
     closeness_centrality,
     degree,
     degree_centrality,
+    degree_centrality_all,
     static_average_distance,
     static_diameter,
 )
@@ -65,6 +66,24 @@ class TestDegree:
         g = aggregate(star_trace(3))
         with pytest.raises(KeyError):
             degree(g, 42)
+
+    def test_all_nodes_match_one_node_at_a_time(self):
+        rnd = random.Random(5)
+        for _ in range(30):
+            n = rnd.randint(2, 9)
+            events = [
+                ContactEvent(a, b, 0, 1)
+                for a in range(n)
+                for b in range(a, n)
+                if rnd.random() < 0.3
+            ]
+            g = aggregate(ContactTrace.from_events(events, extra_nodes=range(n)))
+            assert degree_centrality_all(g) == [degree_centrality(g, i) for i in range(n)]
+
+    def test_all_nodes_need_two_nodes(self):
+        g = aggregate(ContactTrace.from_events([], extra_nodes=[0]))
+        with pytest.raises(ValueError):
+            degree_centrality_all(g)
 
 
 class TestCloseness:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dtnmetrics import (
@@ -10,10 +12,12 @@ from dtnmetrics import (
     build_snapshots,
     pair_aggregates,
     recommend_window,
+    temporal_betweenness_all,
+    temporal_distance_matrix,
     window_count,
 )
 
-from .conftest import meeting_trace
+from .conftest import meeting_trace, random_trace
 
 
 class TestPairAggregates:
@@ -126,3 +130,21 @@ class TestBuildSnapshots:
     def test_occurrence_windows(self, six_node_snapshots):
         assert six_node_snapshots.occurrence_windows(1) == (0, 2)
         assert six_node_snapshots.occurrence_windows(4) == (1,)
+
+
+class TestContactArray:
+    def test_rows_are_window_and_columns(self, six_node_snapshots):
+        # A-B in window 0; C-E, E-F in window 1; B-D, C-D in window 2
+        assert six_node_snapshots.contacts.tolist() == [
+            [0, 0, 1], [1, 2, 4], [1, 4, 5], [2, 1, 3], [2, 2, 3]
+        ]
+
+    def test_metrics_never_build_the_snapshot_view(self):
+        rnd = random.Random(11)
+        for _ in range(20):
+            trace, period, cfg = random_trace(rnd, max_nodes=7, max_windows=5)
+            snaps = build_snapshots(trace, period, cfg)
+            temporal_distance_matrix(snaps)
+            if len(snaps.nodes) >= 3:
+                temporal_betweenness_all(snaps)
+            assert "windows" not in snaps.__dict__
