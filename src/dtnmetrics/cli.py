@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 internal error, 2 input/usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -196,6 +197,8 @@ def _resolve_periods(args, trace: ContactTrace) -> list[AnalysisPeriod]:
 
 
 def _make_period(lo: float, hi: float) -> AnalysisPeriod:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"analysis period needs finite bounds, got [{lo}, {hi}]")
     try:
         return AnalysisPeriod(lo, hi)
     except ValueError as exc:
@@ -205,9 +208,13 @@ def _make_period(lo: float, hi: float) -> AnalysisPeriod:
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+    with fh:
+        fh.write(text)
 
 
 def cmd_window(args) -> int:

@@ -3,17 +3,25 @@
 Collapsing every contact in a period into a simultaneous edge hides
 time order and overestimates connectivity; these are the comparison
 columns reported next to the temporal metrics.
+
+The aggregated graph is the temporal graph seen through one window over
+the whole period, a one-window :class:`SnapshotSequence`. Its hop matrix
+(``temporal_metrics._relax``) gives the distances and closeness; its
+temporal betweenness sweep is, on one window, Brandes' algorithm.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
-import networkx as nx
+import numpy as np
 
+from .temporal_metrics import _BLOCK_ELEMENTS, _NO_HOPS, _relax, temporal_betweenness_all
 from .temporal_metrics import CentralityScore
 from .trace_model import AnalysisPeriod, ContactTrace
+from .windowing import SnapshotSequence
 
 
 @dataclass(frozen=True)
@@ -23,15 +31,35 @@ class AggregatedGraph:
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.edges)
-        return g
-
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def window(self) -> SnapshotSequence:
+        """The graph as one window over the sorted nodes; self-loops are
+        dropped, since a self-loop is on no shortest path."""
+        nodes = tuple(sorted(self.nodes))
+        column = {node: c for c, node in enumerate(nodes)}
+        pairs = {tuple(sorted((column[a], column[b]))) for a, b in self.edges if a != b}
+        contacts = np.array([(0, a, b) for a, b in sorted(pairs)], dtype=np.intp)
+        return SnapshotSequence(1.0, 1, contacts.reshape(-1, 3), nodes)
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """N x N fewest hops between ``window.nodes``, ``_NO_HOPS`` where
+        unreachable; sources are relaxed in blocks of rows x edges at most
+        ``_BLOCK_ELEMENTS``."""
+        hops = np.full((self.n, self.n), _NO_HOPS)
+        np.fill_diagonal(hops, 0)
+        cols, src, _, starts = self.window.window_graphs[0]
+        size = max(1, _BLOCK_ELEMENTS // max(1, len(src)))
+        for lo in range(0, len(cols), size):
+            block = np.arange(lo, min(lo + size, len(cols)))
+            h = np.full((len(block), len(cols)), _NO_HOPS)
+            h[np.arange(len(block)), block] = 0
+            hops[np.ix_(cols[block], cols)] = _relax(h, src, starts)
+        return hops
 
 
 def aggregate(trace: ContactTrace, period: AnalysisPeriod | None = None) -> AggregatedGraph:
@@ -53,17 +81,10 @@ def static_average_distance(g: AggregatedGraph) -> float:
     """
     if not g.edges:
         raise ValueError("static average distance needs at least one edge")
-    graph = g.to_networkx()
-    total = 0
-    count = 0
-    for src, dists in nx.all_pairs_shortest_path_length(graph):
-        for dst, d in dists.items():
-            if dst != src:
-                total += d
-                count += 1
-    if count == 0:
+    reached = g.hops[(g.hops > 0) & (g.hops < _NO_HOPS)]
+    if reached.size == 0:
         raise ValueError("no connected pairs")
-    return total / count
+    return int(reached.sum()) / reached.size
 
 
 def degree(g: AggregatedGraph, i: int) -> int:
@@ -86,22 +107,20 @@ def closeness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     Equals (N-1)/sum(d) on connected graphs; isolated nodes score 0."""
     if i not in g.nodes:
         raise KeyError(f"unknown node id {i}")
-    value = nx.closeness_centrality(g.to_networkx(), u=i, wf_improved=True)
-    return CentralityScore(i, value)
+    return closeness_centrality_all(g)[g.window.nodes.index(i)]
 
 
 def betweenness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     """Ordered-pair-normalized shortest-path betweenness."""
     if i not in g.nodes:
         raise KeyError(f"unknown node id {i}")
-    return betweenness_centrality_all(g)[sorted(g.nodes).index(i)]
+    return betweenness_centrality_all(g)[g.window.nodes.index(i)]
 
 
 def betweenness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     if g.n < 3:
         raise ValueError("betweenness centrality needs at least 3 nodes")
-    values = nx.betweenness_centrality(g.to_networkx(), normalized=True)
-    return [CentralityScore(node, values[node]) for node in sorted(g.nodes)]
+    return temporal_betweenness_all(g.window)
 
 
 def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
@@ -113,18 +132,17 @@ def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
 
 
 def closeness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
-    graph = g.to_networkx()
-    values = nx.closeness_centrality(graph, wf_improved=True)
-    return [CentralityScore(node, values[node]) for node in sorted(g.nodes)]
+    reached = g.hops < _NO_HOPS
+    sizes = reached.sum(axis=1).tolist()
+    totals = np.where(reached, g.hops, 0).sum(axis=1).tolist()
+    return [
+        CentralityScore(node, (r - 1.0) / total * ((r - 1.0) / (g.n - 1)) if total else 0.0)
+        for node, r, total in zip(g.window.nodes, sizes, totals)
+    ]
 
 
 def static_diameter(g: AggregatedGraph) -> int:
     """Maximum finite shortest-path length over pairs."""
     if not g.edges:
         raise ValueError("static diameter needs at least one edge")
-    graph = g.to_networkx()
-    best = 0
-    for _, dists in nx.all_pairs_shortest_path_length(graph):
-        if dists:
-            best = max(best, max(dists.values()))
-    return best
+    return int(g.hops[g.hops < _NO_HOPS].max())

@@ -303,8 +303,9 @@ def _edge_scan_hit(
 
 
 def rank_nodes(scores: list[CentralityScore]) -> list[CentralityScore]:
-    """Descending by value, ties broken by ascending node id."""
-    return sorted(scores, key=lambda s: (-s.value, s.node))
+    """Descending by value, ties broken by ascending node id. Values (all in
+    [0, 1]) are compared at 12 decimals, so summation order splits no tie."""
+    return sorted(scores, key=lambda s: (-round(s.value, 12), s.node))
 
 
 def temporal_betweenness(snapshots: SnapshotSequence, i: int) -> CentralityScore:
@@ -343,6 +344,16 @@ def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScor
     return [CentralityScore(node, float(c) / norm) for node, c in zip(nodes, credit)]
 
 
+def _relax(h: np.ndarray, src: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Hop counts ``h`` (sources x occupants) relaxed to a fixpoint over the
+    edges ``src -> dst`` of one window graph; ``h`` itself is not modified."""
+    while True:
+        relaxed = np.minimum(h, np.minimum.reduceat(h[:, src] + 1, starts, axis=1))
+        if not np.count_nonzero(relaxed != h):
+            return h
+        h = relaxed
+
+
 def _block_credit(
     snapshots: SnapshotSequence, sources: np.ndarray, entry: np.ndarray
 ) -> np.ndarray:
@@ -372,11 +383,7 @@ def _block_credit(
         enter = (rows[entering], np.searchsorted(cols, sources[entering]))
         ht = h_pre.copy()
         ht[enter] = 0
-        while True:
-            relaxed = np.minimum(ht, np.minimum.reduceat(ht[:, src] + 1, starts, axis=1))
-            if not np.count_nonzero(relaxed != ht):
-                break
-            ht = relaxed
+        ht = _relax(ht, src, starts)
         tight = ht[:, src] + 1 == ht[:, dst]
         base = np.where(ht == h_pre, sigma_pre, 0.0)
         base[enter] = 1.0

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import dtnmetrics
 from dtnmetrics import (
     AnalysisPeriod,
     ContactEvent,
@@ -307,6 +312,69 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--speed-max", "inf"], ["--tick", "inf"]])
     def test_bad_generate_parameter_is_usage_error(self, capsys, flag):
         assert main(["generate", "--nodes", "3", "--duration", "10", *flag]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["window", "analyze", "matrix"])
+    @pytest.mark.parametrize("bound", [["--tmin=-inf"], ["--tmax=inf"], ["--tmin=nan"]])
+    def test_non_finite_period_bound_is_usage_error(
+        self, capsys, six_node_file, command, bound
+    ):
+        assert main([command, "--input", six_node_file, *bound]) == EXIT_USAGE
+        assert "finite bounds" in capsys.readouterr().err
+
+    def test_non_finite_period_flag_is_usage_error(self, capsys, six_node_file):
+        rc = main(["analyze", "--input", six_node_file, "--period", "0:inf"])
+        assert rc == EXIT_USAGE
+        assert "finite bounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["analyze", "--window", "300"],
+            ["matrix", "--window", "300"],
+            ["convert", "--from", "common", "--to", "one"],
+        ],
+    )
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, six_node_file, command):
+        out = tmp_path / "missing" / "out.txt"
+        rc = main([*command, "--input", six_node_file, "--output", str(out)])
+        assert rc == EXIT_USAGE
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_unwritable_generate_output_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "out.txt"
+        rc = main(["generate", "--nodes", "3", "--duration", "10", "--output", str(out)])
+        assert rc == EXIT_USAGE
+
+    def test_failure_while_writing_is_exit_one(
+        self, capsys, monkeypatch, tmp_path, six_node_file
+    ):
+        import dtnmetrics.cli as cli_mod
+
+        # the file opens, then the text cannot be encoded
+        monkeypatch.setattr(cli_mod, "format_reports", lambda reports, style: "\ud800")
+        out = tmp_path / "out.txt"
+        rc = main(["analyze", "--input", six_node_file, "--output", str(out)])
+        assert rc == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
+
+
+class TestImportHygiene:
+    def test_runtime_never_loads_networkx(self, six_node_file):
+        # networkx is only a test reference; the program must not load it
+        src = Path(dtnmetrics.__file__).resolve().parent.parent
+        argv = ["analyze", "--input", six_node_file, "--window", "300"]
+        code = (
+            "import sys\n"
+            "import dtnmetrics.cli\n"
+            f"assert dtnmetrics.cli.main({argv!r}) == 0\n"
+            "assert 'networkx' not in sys.modules\n"
+        )
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestWindowCountBound:

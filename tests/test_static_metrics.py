@@ -1,15 +1,19 @@
 import random
 
+import networkx as nx
 import pytest
 
 from dtnmetrics import (
+    AggregatedGraph,
     AnalysisPeriod,
+    CentralityScore,
     ContactEvent,
     ContactTrace,
     aggregate,
     betweenness_centrality,
     betweenness_centrality_all,
     closeness_centrality,
+    closeness_centrality_all,
     degree,
     degree_centrality,
     degree_centrality_all,
@@ -166,3 +170,82 @@ class TestDistancesAndDiameter:
     def test_diameter(self):
         assert static_diameter(aggregate(path_trace(5))) == 4
         assert static_diameter(aggregate(star_trace(6))) == 2
+
+
+def random_graph(rnd: random.Random) -> AggregatedGraph:
+    """Sparse ids split into up to three parts with no edge between them,
+    some isolated nodes and some self-loops."""
+    ids = rnd.sample(range(500), rnd.randint(3, 16))
+    parts = [rnd.randrange(3) for _ in ids]
+    p = rnd.uniform(0.1, 0.6)
+    edges = {
+        (a, b)
+        for x, a in enumerate(ids)
+        for y, b in enumerate(ids)
+        if x <= y and parts[x] == parts[y] and rnd.random() < (p if x < y else 0.1)
+    }
+    edges |= {(a, a) for a in rnd.sample(ids, 2)}
+    return AggregatedGraph(frozenset(ids), frozenset(edges))
+
+
+def assert_matches_networkx(g: AggregatedGraph) -> None:
+    graph = nx.Graph()
+    graph.add_nodes_from(g.nodes)
+    graph.add_edges_from(g.edges)
+    lengths = dict(nx.all_pairs_shortest_path_length(graph))
+    off = [d for u, row in lengths.items() for v, d in row.items() if u != v]
+    if off:
+        assert static_average_distance(g) == sum(off) / len(off)
+    else:
+        with pytest.raises(ValueError):
+            static_average_distance(g)
+    assert static_diameter(g) == max(max(row.values()) for row in lengths.values())
+    want = nx.closeness_centrality(graph, wf_improved=True)
+    assert closeness_centrality_all(g) == [CentralityScore(v, want[v]) for v in sorted(g.nodes)]
+    for v in g.nodes:
+        assert closeness_centrality(g, v).value == want[v]
+    want = nx.betweenness_centrality(graph, normalized=True)
+    got = betweenness_centrality_all(g)
+    assert [s.node for s in got] == sorted(g.nodes)
+    for s in got:
+        assert s.value == pytest.approx(want[s.node], rel=0, abs=1e-12)
+
+
+class TestMatchesNetworkx:
+    """networkx is the reference for the one-window hop matrix and sweep."""
+
+    def test_random_graphs(self):
+        rnd = random.Random(11)
+        for _ in range(300):
+            assert_matches_networkx(random_graph(rnd))
+
+    @pytest.mark.parametrize("budget", [1, 7, 50])
+    def test_hop_matrix_in_small_blocks(self, monkeypatch, budget):
+        import dtnmetrics.static_metrics as sm
+
+        monkeypatch.setattr(sm, "_BLOCK_ELEMENTS", budget)
+        rnd = random.Random(13)
+        for _ in range(40):
+            assert_matches_networkx(random_graph(rnd))
+
+    def test_betweenness_matches_enumeration_oracle(self):
+        rnd = random.Random(12)
+        for _ in range(100):
+            g = random_graph(rnd)
+            want = oracles.static_betweenness(sorted(g.nodes), g.edges)
+            for s in betweenness_centrality_all(g):
+                assert s.value == pytest.approx(want[s.node], rel=0, abs=1e-12)
+
+    def test_long_path_and_ring(self):
+        n = 120
+        path = frozenset((i, i + 1) for i in range(n - 1))
+        ring = path | {(0, n - 1)}
+        for edges in (path, ring):
+            g = AggregatedGraph(frozenset(range(n)), edges)
+            assert_matches_networkx(g)
+        assert static_diameter(AggregatedGraph(frozenset(range(n)), path)) == n - 1
+
+    def test_only_self_loops(self):
+        g = AggregatedGraph(frozenset({3, 7, 9}), frozenset({(3, 3), (9, 9)}))
+        assert_matches_networkx(g)
+        assert static_diameter(g) == 0

@@ -288,3 +288,16 @@ class TestRankNodes:
             CentralityScore(2, 0.5),
         ]
         assert [s.node for s in rank_nodes(scores)] == [1, 2, 3]
+
+    def test_rounding_does_not_split_a_tie(self):
+        # one true tie, summed in two orders: the lower id ranks first
+        scores = [
+            CentralityScore(5, 0.027777777777777776),
+            CentralityScore(2, 0.027777777777777773),
+        ]
+        assert [s.node for s in rank_nodes(scores)] == [2, 5]
+        assert [s.node for s in rank_nodes(scores[::-1])] == [2, 5]
+
+    def test_a_real_difference_still_ranks(self):
+        scores = [CentralityScore(1, 0.5), CentralityScore(4, 0.5 + 1e-9)]
+        assert [s.node for s in rank_nodes(scores)] == [4, 1]
