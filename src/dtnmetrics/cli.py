@@ -17,11 +17,11 @@ from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-# Bound on windows^2 x nodes, the element work of the infection table's
-# build (see temporal_metrics), which dominates analyze at fine windows. At
-# the bound analyze took 41-50 s and at most 432 MB of RSS on a 2-CPU Xeon,
-# on 100 nodes x 8,000 windows of a random-waypoint trace and on 10 x 25,298
-# and 2 x 56,568 with every node in every window.
+# Bound on windows^2 x nodes, checked before allocation. It caps what still
+# grows with the window count: the W x N tables and the temporal betweenness
+# sweep (one step and one log entry per window). At the bound analyze took at
+# most 5.3 s and 415 MB of RSS on a 2-CPU Xeon (100 nodes x 8,000 windows of a
+# random-waypoint trace), under 1 s on 10 x 25,298 and 2 x 56,568 full windows.
 _MAX_SCAN_WORK = 64 * 10**8
 
 
@@ -125,8 +125,8 @@ def _window_width(clipped: ContactTrace, period: AnalysisPeriod, w: float | None
         raise InputError("no contacts in period")
     if w is None:
         w = windowing.recommend_window(windowing.pair_aggregates(clipped))
-    if not w > 0:
-        raise InputError(f"window width must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise InputError(f"window width must be positive and finite, got {w}")
     windows, n = period.span / w, len(clipped.nodes)
     if windows * windows * n > _MAX_SCAN_WORK:
         raise InputError(

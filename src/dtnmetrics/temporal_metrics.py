@@ -15,20 +15,18 @@ Both run on arrays cached on the :class:`SnapshotSequence`:
 * ``occupancy``, W x N booleans: which node occurs in which window;
 * ``window_graphs``: per window, the occupant columns and the contacts
   as directed edges between them, grouped for ``np.ufunc.reduceat``;
+* ``next_occurrence`` nxt, (W+1) x N: ``nxt[t, n]`` is the first window
+  >= t in which n occurs, W if none;
 * ``infection_table`` H, W x N: ``H[s, n]`` is the first window >= s
-  infected by a scan started at s in which n occurs, -1 if none. One
-  forward pass over t advances the scans of every start at once; at t
-  it touches the occupants of t in each scan started so far, so the
-  build costs O(W * total occupancy) <= O(W^2 * N) element operations.
+  infected by a scan started at s in which n occurs, -1 if none, built
+  backwards in O(N * total occupancy) element operations.
 
-The one scan schedule, :func:`_scan_schedule`, is a sweep over those
-arrays. Each source i keeps ``floor`` and ``alive`` vectors over all
-targets (a row of a sources x N array) and visits its occurrence windows
-s in ascending order. A target is due at s when it is alive and its
-floor is <= s; a due target with ``H[s] >= 0`` scores ``H[s] - s`` and
-moves its floor past the hit, and a miss ends its schedule. All sources
-advance together in one pass over the windows, so the sweep costs
-O(N * |occurrences|) element operations in at most W vector steps.
+The one scan schedule, :func:`_scan_schedule`, follows the chain of scans
+each (source i, target j) pair is due for: the first starts at
+``nxt[0, i]``, a scan from s hits ``H[s, j]``, the scan after a hit at t
+starts at ``nxt[t + 1, i]``, and a miss ends the chain. All pairs advance
+together, one vector step per link of the longest chain rather than one
+per window; the matrix drops a pair once its best distance is 0.
 
 The matrix keeps the best score per (source, target); the
 edge-respecting distance runs its own edge scans on the same (start,
@@ -122,43 +120,40 @@ def _check_node(snapshots: SnapshotSequence, node: int) -> None:
         raise KeyError(f"unknown node id {node}")
 
 
-def _scan_schedule(snapshots: SnapshotSequence, sources: np.ndarray):
-    """Yield the scans of the given source columns against all targets.
+def _scan_schedule(snapshots: SnapshotSequence, src: np.ndarray, dst: np.ndarray):
+    """Yield the scans of the column pairs ``(src[k], dst[k])``, all pairs
+    advancing together, as ``(pairs, s, hits, keep)``: the indices k of the
+    pairs still scheduled, their scan start windows, their paper hits
+    ``H[s, dst]`` (-1 for a miss) and the mask ``hits >= 0``.
 
-    Each item is ``(s, rows, due, hits)``: a scan start window s, the
-    indices into ``sources`` of the sources occurring in s, a boolean
-    (len(rows), N) array of the targets whose schedule scans from s, and
-    row s of the infection table. A target's first scan starts at the
-    source's first occurrence; after a hit at window t its next scan
-    starts at the first source occurrence past t; its schedule ends at
-    the first scan with no hit.
+    A pair's first scan starts at the source's first occurrence; after a
+    hit at window t its next scan starts at ``nxt[t + 1, src]``, the first
+    source occurrence past t. A miss, running out of source occurrences,
+    or the caller clearing the pair's entry of ``keep`` ends its schedule;
+    a pair with ``src == dst`` has none.
     """
-    present = snapshots.occupancy[:, sources]
-    H = snapshots.infection_table
-    floor = np.zeros((len(sources), len(snapshots.nodes)), dtype=np.int64)
-    alive = np.ones_like(floor, dtype=bool)
-    alive[np.arange(len(sources)), sources] = False
-    for s in np.flatnonzero(present.any(axis=1)):
-        rows = np.flatnonzero(present[s])
-        due = alive[rows] & (floor[rows] <= s)
-        if not due.any():
-            continue
-        hits = H[s]
-        yield int(s), rows, due, hits
-        alive[rows] &= ~due | (hits >= 0)
-        floor[rows] = np.where(due, hits + 1, floor[rows])
+    H, nxt = snapshots.infection_table, snapshots.next_occurrence
+    pairs, s = np.arange(len(src)), nxt[0, src]
+    keep = (src != dst) & (s < snapshots.window_count)
+    while np.any(keep):
+        pairs, s = pairs[keep], s[keep]
+        hits = H[s, dst[pairs]]
+        keep = hits >= 0
+        yield pairs, s, hits, keep
+        s = nxt[hits + 1, src[pairs]]
+        keep &= s < snapshots.window_count
 
 
 def _distance_rows(snapshots: SnapshotSequence, sources: np.ndarray) -> np.ndarray:
     """Paper-algorithm distances from the source columns, -1 if unreachable."""
-    best = np.full(
-        (len(sources), len(snapshots.nodes)), UNREACHABLE_SENTINEL, dtype=np.int64
-    )
-    for s, rows, due, hits in _scan_schedule(snapshots, sources):
-        d = hits - s
-        prev = best[rows]
-        better = due & (hits >= 0) & ((prev < 0) | (d < prev))
-        best[rows] = np.where(better, d, prev)
+    n = len(snapshots.nodes)
+    best = np.full(len(sources) * n, UNREACHABLE_SENTINEL, dtype=np.int64)
+    src, dst = np.repeat(sources, n), np.tile(np.arange(n), len(sources))
+    for pairs, s, hits, keep in _scan_schedule(snapshots, src, dst):
+        d, prev = hits - s, best[pairs]
+        best[pairs] = np.where(keep & ((prev < 0) | (d < prev)), d, prev)
+        keep &= d > 0  # no later scan beats distance 0
+    best = best.reshape(len(sources), n)
     best[np.arange(len(sources)), sources] = 0
     return best
 
@@ -269,11 +264,10 @@ def temporal_distance_exact(
     a, b = labels.index(i), labels.index(j)
     W = snapshots.window_count
     best: Optional[int] = None
-    for s, _, due, paper_hits in _scan_schedule(snapshots, np.array([a])):
-        if not due[0, b]:
-            continue
-        if paper_hits[b] < 0:
+    for _, s, hits, _ in _scan_schedule(snapshots, np.array([a]), np.array([b])):
+        if hits[0] < 0:
             break  # no occurrence chain reaches j, so no edge journey does
+        s = int(s[0])
         stop = W if best is None else min(s + best, W)  # a later hit is no shorter
         hit = _edge_scan_hit(snapshots, a, b, s, stop, cfg.horizon)
         if hit is not None:

@@ -8,6 +8,7 @@ broken inputs can still be inspected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -118,8 +119,8 @@ class WindowConfig:
     horizon: Optional[int] = UNLIMITED
 
     def __post_init__(self):
-        if not self.w > 0:
-            raise ValueError(f"window width must be positive, got {self.w}")
+        if not 0 < self.w < math.inf:
+            raise ValueError(f"window width must be positive and finite, got {self.w}")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
 

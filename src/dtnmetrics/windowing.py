@@ -47,8 +47,8 @@ class SnapshotSequence:
     ``contacts`` is the graph: an (M, 3) integer array with one row
     ``(window, col_a, col_b)`` per contact per window, sorted and free of
     duplicates, where ``col_a < col_b`` index ``nodes``. Every other view
-    (the ``windows`` snapshots, the occupancy array, the window graphs and
-    the infection table) is derived from it once per instance and cached.
+    (the ``windows`` snapshots, occupancy, window graphs, next-occurrence and
+    infection tables) is derived from it once per instance and cached.
     """
 
     window_width: float
@@ -101,27 +101,32 @@ class SnapshotSequence:
         )
 
     @cached_property
+    def next_occurrence(self) -> np.ndarray:
+        """(W+1) x N int array: ``nxt[t, c]`` is the first window >= t in
+        which ``nodes[c]`` occurs, W if none (row W is all W)."""
+        occ, count = np.pad(self.occupancy, ((0, 1), (0, 0))), self.window_count
+        at = np.where(occ, np.arange(count + 1)[:, None], count)
+        return np.minimum.accumulate(at[::-1], axis=0)[::-1]
+
+    @cached_property
     def infection_table(self) -> np.ndarray:
         """W x N int array: ``H[s, c]`` is the first window >= s infected by a
         scan started at s in which ``nodes[c]`` occurs, -1 if none.
 
-        A scan from s infects s; a later window is infected when it shares
-        an occupant with the scan's carriers (the nodes it has reached so
-        far, i.e. those with ``H[s, c] >= 0``), and its occupants then
-        join the carriers. One forward pass over t advances the scans of
-        all starts s <= t, touching only the occupants of t.
+        A scan from s infects s, and a later window that shares an occupant
+        with a window infected before it: that is s and what the scans from
+        ``nxt[s + 1, m]`` infect, for the occupants m of s. One pass from
+        s = W-1 down sets ``H[s]`` to s on those occupants and elsewhere to
+        the minimum of the rows ``H[nxt[s + 1, m]]`` (-1 read as +inf), in
+        O(N * total occupancy) element operations and at most W steps.
         """
-        occ = self.occupancy
-        H = np.full(occ.shape[::-1], -1, dtype=np.int64)  # node-major
-        for t, members in enumerate(occ):
-            cols = np.flatnonzero(members)
-            if cols.size == 0:
-                continue
-            met = (H[cols, :t] >= 0).any(axis=0)
-            block = np.ix_(cols, np.append(np.flatnonzero(met), t))
-            reached = H[block]
-            H[block] = np.where(reached < 0, t, reached)
-        return np.ascontiguousarray(H.T)
+        occ, count, nxt = self.occupancy, self.window_count, self.next_occurrence
+        H = np.full((count + 1, len(self.nodes)), count)  # count reads as +inf
+        for s in np.flatnonzero(occ.any(axis=1))[::-1]:
+            cols = np.flatnonzero(occ[s])
+            H[s] = H[nxt[s + 1, cols]].min(axis=0)
+            H[s, cols] = s
+        return np.where(H[:count] < count, H[:count], -1)
 
     def occurrence_windows(self, node: int) -> tuple[int, ...]:
         """Window indices in which the node occurs, ascending."""
@@ -172,8 +177,8 @@ def recommend_window(aggregates: list[PairAggregate]) -> float:
 
 def window_count(period: AnalysisPeriod, w: float) -> int:
     """Number of windows W = ceil((t_max - t_min)/w), at least 1."""
-    if not w > 0:
-        raise ValueError(f"window width must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise ValueError(f"window width must be positive and finite, got {w}")
     ratio = period.span / w
     nearest = round(ratio)
     if abs(ratio - nearest) < 1e-9 and nearest >= 1:

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's code paths: occurrence-chain
 distances are found by exhaustive enumeration of window subsequences,
-edge journeys by breadth-first search over explicit (node, window, hops)
-states, and betweenness by enumerating every shortest journey as a full
-state sequence.
+the infection table by a forward pass over the windows, edge journeys
+by breadth-first search over explicit (node, window, hops) states, and
+betweenness by enumerating every shortest journey as a full state
+sequence.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import heapq
 import itertools
 import math
 from collections import deque
+
+import numpy as np
 
 from dtnmetrics import window_count
 
@@ -91,6 +94,30 @@ def paper_distance(snapshots, i, j):
         d = hit - s
         best = d if best is None else min(best, d)
         floor = hit + 1
+
+
+def infection_table(snapshots):
+    """W x N infection table built forwards: ``H[s, c]`` is the first window
+    >= s infected by a scan started at s in which ``nodes[c]`` occurs, -1
+    if none.
+
+    A scan from s infects s; a later window is infected when it shares
+    an occupant with the scan's carriers (the nodes it has reached so
+    far, i.e. those with ``H[s, c] >= 0``), and its occupants then
+    join the carriers. One forward pass over t advances the scans of
+    all starts s <= t, touching only the occupants of t.
+    """
+    occ = snapshots.occupancy
+    H = np.full(occ.shape[::-1], -1, dtype=np.int64)  # node-major
+    for t, members in enumerate(occ):
+        cols = np.flatnonzero(members)
+        if cols.size == 0:
+            continue
+        met = (H[cols, :t] >= 0).any(axis=0)
+        block = np.ix_(cols, np.append(np.flatnonzero(met), t))
+        reached = H[block]
+        H[block] = np.where(reached < 0, t, reached)
+    return np.ascontiguousarray(H.T)
 
 
 def _journey_hit(edges, W, s, i, j, horizon=None):

@@ -303,6 +303,13 @@ class TestExitCodes:
         assert main([command, "--input", six_node_file, "--window", "300"]) == EXIT_INTERNAL
         assert "internal error: bug" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["analyze", "matrix"])
+    def test_non_finite_window_is_usage_error(self, capsys, six_node_file, command, window):
+        rc = main([command, "--input", six_node_file, "--window", window])
+        assert rc == EXIT_USAGE
+        assert "window width must be positive and finite" in capsys.readouterr().err
+
     def test_undecodable_input_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"\xff\xfe0 1 2 3 1 0\n")

@@ -6,7 +6,8 @@ The traces here exercise the window arithmetic that the generators in
 several windows, instants exactly on a window boundary (including
 ``t_max``), periods with ``t_min != 0`` and fractional window widths.
 Snapshot placement is also fuzzed with float-noise times against the
-scalar placement loop, with node ids beyond float64 precision.
+scalar placement loop, with node ids beyond float64 precision, and the
+infection table against the forward build on raw occupancy arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dtnmetrics import (
     AnalysisPeriod,
     ContactEvent,
     ContactTrace,
+    SnapshotSequence,
     WindowConfig,
     build_snapshots,
     temporal_betweenness_all,
@@ -117,6 +119,55 @@ def test_interleaved_sequences_keep_their_own_answers(first, second):
             if k < len(p):
                 i, j = p[k]
                 assert temporal_distance_paper(seq, i, j) == expected[(i, j)]
+
+
+@st.composite
+def occupancy_sequences(draw, max_nodes=7, max_windows=7):
+    """A sequence drawn as a raw W x N occupancy array: full or random, with
+    empty windows, nodes that never occur and a node occurring only in the
+    last window. Each window's occupants are joined by a path of contacts;
+    a lone occupant gets node 0 or 1 as a partner, since a contact has two
+    ends."""
+    W = draw(st.integers(1, max_windows))
+    n = draw(st.integers(2, max_nodes))
+    occ = np.ones((W, n), dtype=bool)
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.booleans(), min_size=W * n, max_size=W * n))
+        occ[:] = np.reshape(cells, (W, n))
+        occ[draw(st.lists(st.integers(0, W - 1), max_size=W))] = False
+        occ[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = False
+    if n > 2 and draw(st.booleans()):
+        occ[:, -1] = False
+        occ[-1, -1] = True
+    rows = []
+    for t, members in enumerate(occ):
+        cols = np.flatnonzero(members).tolist()
+        if len(cols) == 1:
+            cols = sorted({cols[0], 1 if cols[0] == 0 else 0})
+        rows.extend((t, a, b) for a, b in zip(cols, cols[1:]))
+    contacts = np.array(rows, dtype=np.intp).reshape(-1, 3)
+    return SnapshotSequence(1.0, W, contacts, tuple(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(boundary_traces().map(lambda c: build_snapshots(*c[:3])), occupancy_sequences())
+)
+def test_infection_table_and_matrix_match_the_oracles(snaps):
+    H = snaps.infection_table
+    assert H.dtype == np.int64
+    assert np.array_equal(H, oracles.infection_table(snaps)), snaps.contacts.tolist()
+    matrix = temporal_distance_matrix(snaps)
+    for i in snaps.nodes:
+        for j in snaps.nodes:
+            want = oracles.paper_distance(snaps, i, j)
+            assert matrix.distance(i, j) == want, (snaps.contacts.tolist(), i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(occupancy_sequences(max_nodes=16, max_windows=60))
+def test_infection_table_matches_the_forward_build_on_long_sequences(snaps):
+    assert np.array_equal(snaps.infection_table, oracles.infection_table(snaps))
 
 
 @st.composite

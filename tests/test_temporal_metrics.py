@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -211,6 +212,28 @@ class TestTemporalDistanceExact:
                         got = temporal_distance_exact(trace, period, hcfg, i, j)
                         want = oracles.exact_distance(snaps, i, j, horizon)
                         assert got == want, (trace.events, horizon, i, j)
+
+
+class TestScaleAtTheBound:
+    """Every node in every window at the two worst sizes that the CLI's
+    window bound admits (``test_cli.TestWindowCountBound``). Work per window
+    per window, in the infection table or the scan schedule, takes close to
+    a minute here; the limit is far above the expected second."""
+
+    @pytest.mark.parametrize("nodes, windows", [(2, 56568), (10, 25298)])
+    def test_full_occupancy_table_and_matrix(self, nodes, windows):
+        span = windows * 60
+        events = [ContactEvent(c, c + 1, 0, span) for c in range(nodes - 1)]
+        trace = ContactTrace.from_events(events)
+        snaps = build_snapshots(trace, AnalysisPeriod(0, span), WindowConfig(60))
+        assert snaps.window_count == windows and snaps.occupancy.all()
+        start = time.perf_counter()
+        H = snaps.infection_table
+        matrix = temporal_distance_matrix(snaps)
+        elapsed = time.perf_counter() - start
+        assert np.array_equal(H, np.broadcast_to(np.arange(windows)[:, None], H.shape))
+        assert not matrix.entries.any()
+        assert elapsed < 10
 
 
 class TestTemporalBetweenness:

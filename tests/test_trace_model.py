@@ -80,6 +80,11 @@ class TestWindowConfig:
         with pytest.raises(ValueError):
             WindowConfig(w)
 
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
+    def test_rejects_non_finite_width(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            WindowConfig(w)
+
     @pytest.mark.parametrize("h", [0, -1])
     def test_rejects_nonpositive_horizon(self, h):
         with pytest.raises(ValueError):

@@ -90,6 +90,11 @@ class TestWindowCount:
         with pytest.raises(ValueError):
             window_count(AnalysisPeriod(0, 10), 0)
 
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
+    def test_non_finite_width_rejected(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            window_count(AnalysisPeriod(0, 10), w)
+
 
 class TestBuildSnapshots:
     def test_six_node_fixture_windows(self, six_node_trace):
