@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 from .trace_model import AnalysisPeriod, ContactEvent, ContactTrace
 
 TextSource = Union[str, IO[str], Iterable[str]]
@@ -239,28 +241,33 @@ def write_common_format(trace: ContactTrace) -> str:
     Occurrence counts and inter-contact times are freshly derived;
     parse_common_format(write_common_format(t)) reproduces t's events.
     """
+    evs = trace.events
+    a, b = np.array([ev.a for ev in evs]), np.array([ev.b for ev in evs])
+    start, end = np.array([ev.start for ev in evs]), np.array([ev.end for ev in evs])
+    order = np.lexsort((end, start, b, a))
+    a, b, start = a[order], b[order], start[order]
+    first = np.ones(len(evs), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    index = np.arange(len(evs))
+    occ = index - np.maximum.accumulate(np.where(first, index, 0)) + 1
+    inter = np.zeros(len(evs))
+    inter[1:] = start[1:] - start[:-1]
+    inter[first] = 0.0
     rows = [COMMON_FORMAT_HEADER]
-    by_pair: dict[tuple[int, int], list[ContactEvent]] = {}
-    for ev in trace.events:
-        by_pair.setdefault(ev.pair, []).append(ev)
-    for pair in sorted(by_pair):
-        evs = sorted(by_pair[pair], key=lambda e: (e.start, e.end))
-        prev_up: Optional[float] = None
-        for occ, ev in enumerate(evs, start=1):
-            inter = 0.0 if prev_up is None else ev.start - prev_up
-            prev_up = ev.start
-            rows.append(
-                f"{ev.a} {ev.b} {_fmt_time(ev.start)} {_fmt_time(ev.end)} "
-                f"{occ} {_fmt_time(inter)}"
-            )
+    for i, n, gap in zip(order.tolist(), occ.tolist(), inter.tolist()):
+        ev = evs[i]
+        rows.append(
+            f"{ev.a} {ev.b} {_fmt_time(ev.start)} {_fmt_time(ev.end)} {n} {_fmt_time(gap)}"
+        )
     return "\n".join(rows) + "\n"
 
 
 def write_one_report(trace: ContactTrace) -> str:
-    """Emit a ONE-style connectivity report (up/down rows sorted by time)."""
-    rows: list[tuple[float, int, str]] = []
-    for ev in trace.events:
-        rows.append((ev.start, 0, f"{_fmt_time(ev.start)} CONN {ev.a} {ev.b} up"))
-        rows.append((ev.end, 1, f"{_fmt_time(ev.end)} CONN {ev.a} {ev.b} down"))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return "\n".join(r[2] for r in rows) + "\n"
+    """Emit a ONE-style connectivity report: up/down rows sorted by time,
+    an up before a down at equal times, otherwise in event order."""
+    evs = trace.events
+    # Every up precedes every down here, so a stable sort by time is enough.
+    rows = [f"{_fmt_time(ev.start)} CONN {ev.a} {ev.b} up" for ev in evs]
+    rows += [f"{_fmt_time(ev.end)} CONN {ev.a} {ev.b} down" for ev in evs]
+    times = np.array([ev.start for ev in evs] + [ev.end for ev in evs], dtype=float)
+    return "\n".join([rows[i] for i in np.argsort(times, kind="stable").tolist()]) + "\n"

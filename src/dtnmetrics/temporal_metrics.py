@@ -144,17 +144,15 @@ def _scan_schedule(snapshots: SnapshotSequence, src: np.ndarray, dst: np.ndarray
         keep &= s < snapshots.window_count
 
 
-def _distance_rows(snapshots: SnapshotSequence, sources: np.ndarray) -> np.ndarray:
-    """Paper-algorithm distances from the source columns, -1 if unreachable."""
-    n = len(snapshots.nodes)
-    best = np.full(len(sources) * n, UNREACHABLE_SENTINEL, dtype=np.int64)
-    src, dst = np.repeat(sources, n), np.tile(np.arange(n), len(sources))
+def _pair_distances(snapshots: SnapshotSequence, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Paper-algorithm distances of the column pairs ``(src[k], dst[k])``,
+    -1 if unreachable."""
+    best = np.full(len(src), UNREACHABLE_SENTINEL, dtype=np.int64)
     for pairs, s, hits, keep in _scan_schedule(snapshots, src, dst):
         d, prev = hits - s, best[pairs]
         best[pairs] = np.where(keep & ((prev < 0) | (d < prev)), d, prev)
         keep &= d > 0  # no later scan beats distance 0
-    best = best.reshape(len(sources), n)
-    best[np.arange(len(sources)), sources] = 0
+    best[src == dst] = 0
     return best
 
 
@@ -168,19 +166,17 @@ def temporal_distance_paper(
     """
     _check_node(snapshots, i)
     _check_node(snapshots, j)
-    if i == j:
-        return 0
-    labels = snapshots.nodes
-    row = _distance_rows(snapshots, np.array([labels.index(i)]))[0]
-    d = int(row[labels.index(j)])
+    src, dst = np.array([snapshots.nodes.index(i)]), np.array([snapshots.nodes.index(j)])
+    d = int(_pair_distances(snapshots, src, dst)[0])
     return None if d == UNREACHABLE_SENTINEL else d
 
 
 def temporal_distance_matrix(snapshots: SnapshotSequence) -> TemporalDistanceMatrix:
     """All-pairs paper-algorithm distances, -1 for unreachable pairs."""
-    labels = snapshots.nodes
-    entries = _distance_rows(snapshots, np.arange(len(labels)))
-    return TemporalDistanceMatrix(labels, entries)
+    n = len(snapshots.nodes)
+    cols = np.arange(n)
+    entries = _pair_distances(snapshots, np.repeat(cols, n), np.tile(cols, n))
+    return TemporalDistanceMatrix(snapshots.nodes, entries.reshape(n, n))
 
 
 def average_temporal_distance(matrix: TemporalDistanceMatrix, w: float) -> float:

@@ -3,9 +3,10 @@
 These deliberately avoid the library's code paths: occurrence-chain
 distances are found by exhaustive enumeration of window subsequences,
 the infection table by a forward pass over the windows, edge journeys
-by breadth-first search over explicit (node, window, hops) states, and
+by breadth-first search over explicit (node, window, hops) states,
 betweenness by enumerating every shortest journey as a full state
-sequence.
+sequence, random-waypoint contacts by one scan step per tick, and the
+trace writers by sorting one Python row per line.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from collections import deque
 
 import numpy as np
 
-from dtnmetrics import window_count
+from dtnmetrics import ContactEvent, window_count
+from dtnmetrics.ingestion import COMMON_FORMAT_HEADER, _fmt_time
+from dtnmetrics.rwp_gen import build_tracks, positions_at
 
 
 def placed_edges(trace, period, w):
@@ -308,3 +311,76 @@ def static_betweenness(nodes, edge_list):
             for v in p[1:-1]:
                 score[v] += 1.0 / len(paths)
     return {v: score[v] / ((n - 1) * (n - 2)) for v in nodes}
+
+
+_CHUNK_TICKS = 20000  # bounds position-buffer memory for long runs
+
+
+def rwp_events(params):
+    """The random-waypoint contacts of ``params`` in trace order, found one
+    tick at a time: the in-range flags of every pair at tick k are compared
+    with those at tick k - 1, and an open contact is kept in a dict until its
+    pair leaves range."""
+    tracks = build_tracks(params)
+    n = params.node_count
+    range_sq = params.range * params.range
+    iu, ju = np.triu_indices(n, k=1)
+    open_since: dict[tuple[int, int], float] = {}
+    events: list[ContactEvent] = []
+    decimals = max(0, int(round(-np.log10(params.tick)))) + 1
+    prev_in = np.zeros(len(iu), dtype=bool)
+    n_ticks = params.tick_count
+    final_t = 0.0
+    for chunk_start in range(0, n_ticks, _CHUNK_TICKS):
+        idx = np.arange(chunk_start, min(chunk_start + _CHUNK_TICKS, n_ticks))
+        tick_times = idx * params.tick
+        pos = positions_at(tracks, tick_times)
+        for k in range(len(idx)):
+            t = round(float(tick_times[k]), decimals)
+            diff = pos[k, iu] - pos[k, ju]
+            in_range = (diff * diff).sum(axis=1) <= range_sq
+            changed = np.nonzero(in_range != prev_in)[0]
+            for c in changed:
+                pair = (int(iu[c]), int(ju[c]))
+                if in_range[c]:
+                    open_since[pair] = t
+                else:
+                    start = open_since.pop(pair)
+                    events.append(ContactEvent(pair[0], pair[1], start, t))
+            prev_in = in_range
+            final_t = t
+    for pair, start in sorted(open_since.items()):
+        if final_t > start:
+            events.append(ContactEvent(pair[0], pair[1], start, final_t))
+    return tuple(sorted(events, key=ContactEvent.sort_key))
+
+
+def common_format_text(trace):
+    """The common format, pairs grouped in a dict and each pair's contacts
+    sorted by (start, end)."""
+    rows = [COMMON_FORMAT_HEADER]
+    by_pair = {}
+    for ev in trace.events:
+        by_pair.setdefault(ev.pair, []).append(ev)
+    for pair in sorted(by_pair):
+        evs = sorted(by_pair[pair], key=lambda e: (e.start, e.end))
+        prev_up = None
+        for occ, ev in enumerate(evs, start=1):
+            inter = 0.0 if prev_up is None else ev.start - prev_up
+            prev_up = ev.start
+            rows.append(
+                f"{ev.a} {ev.b} {_fmt_time(ev.start)} {_fmt_time(ev.end)} "
+                f"{occ} {_fmt_time(inter)}"
+            )
+    return "\n".join(rows) + "\n"
+
+
+def one_report_text(trace):
+    """The ONE report, one (time, kind, line) tuple per row sorted by time
+    and kind."""
+    rows = []
+    for ev in trace.events:
+        rows.append((ev.start, 0, f"{_fmt_time(ev.start)} CONN {ev.a} {ev.b} up"))
+        rows.append((ev.end, 1, f"{_fmt_time(ev.end)} CONN {ev.a} {ev.b} down"))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return "\n".join(r[2] for r in rows) + "\n"

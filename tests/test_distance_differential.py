@@ -91,6 +91,17 @@ def test_matrix_matches_chain_oracle_entry_by_entry(case):
             assert matrix.distance(i, j) == want, (trace.events, i, j)
 
 
+@settings(max_examples=100, deadline=None)
+@given(boundary_traces())
+def test_one_pair_distance_equals_matrix_entry(case):
+    trace, period, cfg, _ = case
+    snaps = build_snapshots(trace, period, cfg)
+    matrix = temporal_distance_matrix(snaps)
+    for i in snaps.nodes:
+        for j in snaps.nodes:
+            assert temporal_distance_paper(snaps, i, j) == matrix.distance(i, j)
+
+
 @settings(max_examples=60, deadline=None)
 @given(boundary_traces(max_nodes=6, max_windows=5), st.sampled_from((None, 1, 2)))
 def test_exact_distance_matches_journey_oracle(case, horizon):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtnmetrics import (
     AnalysisPeriod,
@@ -14,6 +16,7 @@ from dtnmetrics import (
     write_one_report,
 )
 
+from . import oracles
 from .conftest import ONE_REPORT_EVENTS, ONE_REPORT_TEXT
 
 # [PAPER] the four common-format sample rows
@@ -216,6 +219,45 @@ class TestWriteCommonFormat:
             ["0", "1", "50"],
             ["2", "3", "5"],
         ]
+
+
+# Times that tie, sit one ulp apart, mix ints and floats, and print as
+# integers or in exponent form.
+TIMES = (0, 1, 1.0, 2.5, 3, 0.1 + 0.2, 0.3, 1e-7, 1e16, 7.25)
+
+
+@st.composite
+def writer_traces(draw):
+    """Unmerged traces: instantaneous contacts, equal start times within and
+    across pairs, repeated and overlapping contacts of one pair; some built
+    directly, their events in drawn order rather than sorted."""
+    n = draw(st.integers(2, 6))
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
+        start, end = sorted(draw(st.lists(st.sampled_from(TIMES), min_size=2, max_size=2)))
+        events.append(ContactEvent(a, b, start, draw(st.sampled_from((start, end)))))
+    if draw(st.booleans()):
+        return ContactTrace(tuple(events), frozenset(range(n)), 0, max(TIMES))
+    return ContactTrace.from_events(events)
+
+
+class TestWritersMatchOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(writer_traces())
+    def test_common_format(self, trace):
+        assert write_common_format(trace) == oracles.common_format_text(trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(writer_traces())
+    def test_one_report(self, trace):
+        assert write_one_report(trace) == oracles.one_report_text(trace)
+
+    def test_empty_trace(self):
+        trace = ContactTrace.from_events([])
+        assert write_one_report(trace) == oracles.one_report_text(trace) == "\n"
+        assert write_common_format(trace) == oracles.common_format_text(trace)
 
 
 class TestRoundTrips:

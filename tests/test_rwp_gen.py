@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtnmetrics import RwpParams, generate, validate_trace
+from dtnmetrics import RwpParams, generate, rwp_gen, validate_trace
+from dtnmetrics.cli import EXIT_USAGE, main
 from dtnmetrics.rwp_gen import build_tracks, positions_at
+
+from . import oracles
 
 
 def small_params(**overrides) -> RwpParams:
@@ -111,3 +118,116 @@ class TestGenerate:
             evs.sort(key=lambda e: e.start)
             for prev, nxt in zip(evs, evs[1:]):
                 assert prev.end < nxt.start
+
+
+@st.composite
+def rwp_cases(draw):
+    """Parameters for the block scan and its block and chunk sizes in
+    elements, small enough that a run spans several blocks and chunks.
+
+    An area of 1 with fast nodes flips contacts on consecutive ticks; a
+    range of 1.5 x the area's side keeps every pair in range from tick 0
+    to the end."""
+    tick = draw(st.sampled_from((0.1, 0.25, 0.5, 1.0, 2.5)))
+    area = draw(st.sampled_from((1.0, 60.0, 400.0)))
+    fast = draw(st.booleans())
+    speed_max = area * (0.6 if fast else 0.02) / tick
+    params = RwpParams(
+        node_count=draw(st.integers(2, 12)),
+        duration=tick * (draw(st.integers(0, 240)) + draw(st.sampled_from((0.4, 0.999, 1.0)))),
+        range=area * draw(st.sampled_from((0.15, 0.4, 1.5))),
+        area_width=area,
+        area_height=area,
+        speed_min=speed_max / 3,
+        speed_max=speed_max,
+        pause_max=draw(st.sampled_from((0.0, 4 * tick))),
+        seed=draw(st.integers(0, 2**32)),
+        tick=tick,
+    )
+    return params, draw(st.integers(1, 300)), draw(st.integers(1, 3000))
+
+
+class TestBlockScan:
+    @settings(max_examples=150, deadline=None)
+    @given(rwp_cases())
+    def test_matches_per_tick_oracle(self, case):
+        params, block, chunk = case
+        with mock.patch.object(rwp_gen, "_BLOCK_ELEMENTS", block), \
+                mock.patch.object(rwp_gen, "_CHUNK_ELEMENTS", chunk):
+            got = generate(params).events
+        assert got == oracles.rwp_events(params)
+
+    def test_contacts_open_at_tick_zero_close_at_the_end(self):
+        p = small_params(range=1000.0, duration=20.3)
+        events = generate(p).events
+        assert len(events) == 28
+        assert all((ev.start, ev.end) == (0.0, 20.0) for ev in events)
+        assert events == oracles.rwp_events(p)
+
+    def test_default_block_size_matches_oracle(self):
+        p = small_params(node_count=12, duration=3000.3, tick=1.0)
+        assert p.tick_count > 3 * (rwp_gen._BLOCK_ELEMENTS // 66)  # 66 pairs
+        assert generate(p).events == oracles.rwp_events(p)
+
+
+class TestTickCount:
+    @pytest.mark.parametrize(
+        "duration, tick, count",
+        [(3000.0, 1.0, 3001), (400.0, 0.5, 801), (300.0, 0.5, 601), (4600.0, 1.0, 4601),
+         (0.3, 0.1, 4), (10.6, 1.0, 11), (2999.6, 1.0, 3000), (0.8999999999, 0.3, 3)],
+    )
+    def test_ticks_up_to_duration(self, duration, tick, count):
+        assert small_params(duration=duration, tick=tick).tick_count == count
+
+    @pytest.mark.parametrize("duration", [10.6, 2999.6])
+    def test_non_multiple_duration_has_no_outside_span_events(self, duration):
+        p = RwpParams(node_count=20, duration=duration, range=100.0, area_width=60.0,
+                      area_height=60.0, seed=1, tick=1.0)
+        trace = generate(p)
+        assert trace.events and validate_trace(trace) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.01, 120.0),
+        st.sampled_from((0.1, 0.123, 0.25, 0.3, 1.0, 2.5, 7.0)),
+        st.integers(2, 10),
+        st.integers(0, 2**32),
+    )
+    def test_events_end_by_duration(self, duration, tick, nodes, seed):
+        p = RwpParams(node_count=nodes, duration=duration, range=30.0, area_width=60.0,
+                      area_height=60.0, speed_min=2.0, speed_max=6.0, pause_max=3.0,
+                      seed=seed, tick=tick)
+        trace = generate(p)
+        assert validate_trace(trace) == []
+        assert all(ev.end <= duration for ev in trace.events)
+        assert round((p.tick_count - 1) * tick, p.decimals) <= duration
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"node_count": 100_000}, {"node_count": 1449, "duration": 1.0},
+         {"tick": 1e-9}, {"node_count": 98, "duration": 1e6, "tick": 1.0},
+         {"duration": 1e300, "tick": 1e-300}],
+    )
+    def test_rejected_before_any_allocation(self, overrides):
+        with mock.patch.object(rwp_gen, "build_tracks", side_effect=AssertionError), \
+                pytest.raises(ValueError, match="too large"):
+            generate(small_params(**overrides))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(node_count=98, duration=4600.0, tick=1.0),  # the scale test
+         dict(node_count=60, duration=3000.0, tick=1.0),  # the benchmark
+         dict(node_count=63, duration=3096.0, tick=0.1),  # the README example
+         dict(node_count=1448, duration=1.0, tick=1.0)],  # the most pairs
+    )
+    def test_sizes_in_use_are_admitted(self, overrides):
+        small_params(**overrides)
+
+    def test_cli_exits_two(self, capsys):
+        with mock.patch.object(rwp_gen, "build_tracks", side_effect=AssertionError):
+            assert main(["generate", "--nodes", "100000", "--duration", "10"]) == EXIT_USAGE
+            assert main(["generate", "--nodes", "3", "--duration", "10",
+                         "--tick", "1e-9"]) == EXIT_USAGE
+        assert "too large" in capsys.readouterr().err
