@@ -67,7 +67,7 @@ def build_report(
     """Run the full pipeline for one period and assemble the report row."""
     clipped = ingestion.clip_to_period(trace, period)
     w = _window_width(clipped, period, w)
-    n = len(clipped.nodes)
+    n = len(clipped.labels)
     if n < 2:
         raise InputError("analysis needs at least 2 nodes in the period")
     snapshots = windowing.build_snapshots(clipped, period, WindowConfig(w=w))
@@ -101,7 +101,7 @@ def build_report(
         t_min=period.t_min,
         t_max=period.t_max,
         total_nodes=n,
-        total_connections=len(clipped.events),
+        total_connections=len(clipped),
         total_timestamps=snapshots.window_count,
         time_window=w,
         static_distance=static_dist,
@@ -121,13 +121,13 @@ def build_report(
 def _window_width(clipped: ContactTrace, period: AnalysisPeriod, w: float | None) -> float:
     """``w``, or the recommended width when None; windows^2 x nodes at most
     ``_MAX_SCAN_WORK``."""
-    if not clipped.events:
+    if not len(clipped):
         raise InputError("no contacts in period")
     if w is None:
         w = windowing.recommend_window(windowing.pair_aggregates(clipped))
     if not 0 < w < math.inf:
         raise InputError(f"window width must be positive and finite, got {w}")
-    windows, n = period.span / w, len(clipped.nodes)
+    windows, n = period.span / w, len(clipped.labels)
     if windows * windows * n > _MAX_SCAN_WORK:
         raise InputError(
             f"window {w:g} is too fine: {windows:.2g} windows for {n} nodes,"

@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactEvent, ContactTrace
+from .trace_model import AnalysisPeriod, ContactTrace
 
 TextSource = Union[str, IO[str], Iterable[str]]
+# Rows the writers format at once.
+_BLOCK_ROWS = 1024
 
 
 class ParseError(ValueError):
@@ -63,24 +66,30 @@ def _rows(text: TextSource) -> Iterator[tuple[int, list[str]]]:
         yield lineno, fields
 
 
-def _merge_pair_overlaps(events: list[ContactEvent]) -> list[ContactEvent]:
-    """Merge strictly overlapping intervals of the same pair into their union."""
-    by_pair: dict[tuple[int, int], list[ContactEvent]] = {}
-    for ev in events:
-        by_pair.setdefault(ev.pair, []).append(ev)
-    merged: list[ContactEvent] = []
-    for pair, evs in by_pair.items():
-        evs.sort(key=lambda e: (e.start, e.end))
-        cur = evs[0]
-        for ev in evs[1:]:
-            if ev.start < cur.end:
-                cur = ContactEvent(cur.a, cur.b, cur.start, max(cur.end, ev.end))
-            else:
-                merged.append(cur)
-                cur = ev
-        merged.append(cur)
-    merged.sort(key=ContactEvent.sort_key)
-    return merged
+def _merge_pair_overlaps(trace: ContactTrace) -> ContactTrace:
+    """Merge strictly overlapping intervals of the same pair into their union.
+
+    In (pair, start, end) order, a row opens a new interval when it is its
+    pair's first or starts at or after the latest end of its pair's rows
+    before it.
+    """
+    order, first = trace._by_pair()
+    end = trace.end[order]
+    first[1:] |= trace.start[order[1:]] >= _running_max(end, first)[:-1]
+    runs = np.flatnonzero(first)
+    rows = order[runs]
+    merged = replace(trace, a=trace.a[rows], b=trace.b[rows], start=trace.start[rows],
+                     end=np.maximum.reduceat(end, runs))
+    return merged._time_ordered()
+
+
+def _running_max(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The running max of ``values`` within each group of rows that ``first``
+    opens: a running max of value ranks offset by group, so that no group
+    reads an earlier group's values."""
+    ordered = np.sort(values)
+    rank = np.searchsorted(ordered, values) + (np.cumsum(first) - 1) * len(values)
+    return ordered[np.maximum.accumulate(rank) % len(values)]
 
 
 def parse_common_format(
@@ -88,12 +97,12 @@ def parse_common_format(
 ) -> ContactTrace:
     """Parse the six-column common format into a ContactTrace.
 
-    One ContactEvent per row with start = connection-up time and
+    One contact per row with start = connection-up time and
     end = connection-down time. The occurrence-count and inter-contact
     columns are checked against recomputation; mismatches produce
     warnings and the recomputed values win.
     """
-    events: list[ContactEvent] = []
+    events: list[tuple[int, int, float, float]] = []
     last_up: dict[tuple[int, int], float] = {}
     occ_seen: dict[tuple[int, int], int] = {}
     for lineno, fields in _rows(text):
@@ -127,10 +136,10 @@ def parse_common_format(
                 lineno,
                 f"inter-contact time {inter} != recomputed {expected_inter}",
             )
-        events.append(ContactEvent(src, dst, up, down))
+        events.append((*pair, up, down))
     if not events:
         raise ParseError("no events")
-    return ContactTrace.from_events(_merge_pair_overlaps(events))
+    return _merge_pair_overlaps(ContactTrace._from_rows(events))
 
 
 _NODE_ID = re.compile(r"^[A-Za-z]*(\d+)$")
@@ -154,7 +163,7 @@ def parse_one_report(
     time observed, with a warning.
     """
     open_ups: dict[tuple[int, int], list[tuple[float, int]]] = {}
-    events: list[ContactEvent] = []
+    events: list[tuple[int, int, float, float]] = []
     last_time = 0.0
     saw_rows = False
     for lineno, fields in _rows(text):
@@ -184,7 +193,7 @@ def parse_one_report(
             if not stack:
                 raise ParseError(f"down for pair {pair} with no open up", lineno)
             start, _ = stack.pop(0)
-            events.append(ContactEvent(pair[0], pair[1], start, sim_time))
+            events.append((*pair, start, sim_time))
         else:
             raise ParseError(f"unknown action {fields[4]!r}", lineno)
     for pair, stack in open_ups.items():
@@ -194,10 +203,10 @@ def parse_one_report(
                 lineno,
                 f"up for pair {pair} never closed; truncating at {last_time}",
             )
-            events.append(ContactEvent(pair[0], pair[1], start, last_time))
+            events.append((*pair, start, last_time))
     if not events:
         raise ParseError("no events" if saw_rows else "empty input, no events")
-    return ContactTrace.from_events(_merge_pair_overlaps(events))
+    return _merge_pair_overlaps(ContactTrace._from_rows(events))
 
 
 def _warn(sink: Optional[list[ParseWarning]], line: Optional[int], message: str) -> None:
@@ -212,22 +221,37 @@ def clip_to_period(trace: ContactTrace, period: AnalysisPeriod) -> ContactTrace:
     are truncated to the boundary. The node set is recomputed from the
     surviving events.
     """
-    clipped = []
-    for ev in trace.events:
-        if ev.end < period.t_min or ev.start > period.t_max:
-            continue
-        clipped.append(
-            ContactEvent(
-                ev.a, ev.b, max(ev.start, period.t_min), min(ev.end, period.t_max)
-            )
-        )
-    return ContactTrace.from_events(clipped, span=(period.t_min, period.t_max))
+    keep = (trace.end >= period.t_min) & (trace.start <= period.t_max)
+    a, b = trace.a[keep], trace.b[keep]
+    used = np.zeros(len(trace.labels), dtype=bool)
+    used[a] = used[b] = True
+    column = np.cumsum(used) - 1
+    start = np.maximum(trace.start[keep], period.t_min)
+    end = np.minimum(trace.end[keep], period.t_max)
+    clipped = ContactTrace(tuple(compress(trace.labels, used)), column[a], column[b], start, end,
+                           float(period.t_min), float(period.t_max))
+    return clipped._time_ordered()
 
 
-def _fmt_time(t: float) -> str:
-    if t == int(t):
-        return str(int(t))
-    return repr(float(t))
+def _times(t: np.ndarray) -> np.ndarray:
+    """The times as an object array that formats as the writers print them:
+    an int where the time is whole, else the float (whose str is its repr)."""
+    out = t.astype(object)
+    whole = t == np.trunc(t)
+    out[whole] = list(map(int, t[whole].tolist()))
+    return out
+
+
+def _blocks(fmt: str, *columns: np.ndarray) -> list[str]:
+    """The rows of the columns put through ``fmt``, one line each, joined a
+    block of ``_BLOCK_ROWS`` rows at a time so that only one block's Python
+    values exist at once; float columns print as ``_times``."""
+    out = []
+    for k in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[k:k + _BLOCK_ROWS] for c in columns]
+        values = [_times(c) if c.dtype == float else c.tolist() for c in block]
+        out.append("\n".join(map(fmt.format, *values)))
+    return out
 
 
 COMMON_FORMAT_HEADER = (
@@ -241,33 +265,24 @@ def write_common_format(trace: ContactTrace) -> str:
     Occurrence counts and inter-contact times are freshly derived;
     parse_common_format(write_common_format(t)) reproduces t's events.
     """
-    evs = trace.events
-    a, b = np.array([ev.a for ev in evs]), np.array([ev.b for ev in evs])
-    start, end = np.array([ev.start for ev in evs]), np.array([ev.end for ev in evs])
-    order = np.lexsort((end, start, b, a))
-    a, b, start = a[order], b[order], start[order]
-    first = np.ones(len(evs), dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    index = np.arange(len(evs))
+    order, first = trace._by_pair()
+    a, b, start, end = (x[order] for x in (trace.a, trace.b, trace.start, trace.end))
+    index = np.arange(len(a))
     occ = index - np.maximum.accumulate(np.where(first, index, 0)) + 1
-    inter = np.zeros(len(evs))
-    inter[1:] = start[1:] - start[:-1]
-    inter[first] = 0.0
-    rows = [COMMON_FORMAT_HEADER]
-    for i, n, gap in zip(order.tolist(), occ.tolist(), inter.tolist()):
-        ev = evs[i]
-        rows.append(
-            f"{ev.a} {ev.b} {_fmt_time(ev.start)} {_fmt_time(ev.end)} {n} {_fmt_time(gap)}"
-        )
-    return "\n".join(rows) + "\n"
+    inter = np.where(first, 0.0, np.diff(start, prepend=start[:1]))
+    ids = np.array(trace.labels, dtype=object)
+    rows = _blocks("{} {} {} {} {} {}", ids[a], ids[b], start, end, occ, inter)
+    return "\n".join([COMMON_FORMAT_HEADER, *rows]) + "\n"
 
 
 def write_one_report(trace: ContactTrace) -> str:
     """Emit a ONE-style connectivity report: up/down rows sorted by time,
     an up before a down at equal times, otherwise in event order."""
-    evs = trace.events
+    times = np.concatenate([trace.start, trace.end])
     # Every up precedes every down here, so a stable sort by time is enough.
-    rows = [f"{_fmt_time(ev.start)} CONN {ev.a} {ev.b} up" for ev in evs]
-    rows += [f"{_fmt_time(ev.end)} CONN {ev.a} {ev.b} down" for ev in evs]
-    times = np.array([ev.start for ev in evs] + [ev.end for ev in evs], dtype=float)
-    return "\n".join([rows[i] for i in np.argsort(times, kind="stable").tolist()]) + "\n"
+    order = np.argsort(times, kind="stable")
+    down, row = np.divmod(order, len(trace))
+    ids, kind = np.array(trace.labels, dtype=object), np.array(["up", "down"], dtype=object)
+    rows = _blocks("{} CONN {} {} {}", times[order], ids[trace.a[row]], ids[trace.b[row]],
+                   kind[down])
+    return "\n".join(rows) + "\n"

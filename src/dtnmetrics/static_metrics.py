@@ -68,8 +68,9 @@ def aggregate(trace: ContactTrace, period: AnalysisPeriod | None = None) -> Aggr
         from .ingestion import clip_to_period
 
         trace = clip_to_period(trace, period)
-    edges = frozenset(ev.pair for ev in trace.events)
-    return AggregatedGraph(frozenset(trace.nodes), edges)
+    ids = trace.labels.__getitem__
+    edges = frozenset(zip(map(ids, trace.a.tolist()), map(ids, trace.b.tolist())))
+    return AggregatedGraph(trace.nodes, edges)
 
 
 def static_average_distance(g: AggregatedGraph) -> float:

@@ -1,16 +1,26 @@
 """Core domain types for contact traces.
 
+A :class:`ContactTrace` is a contact sequence held as columns: ``labels``,
+the ascending node ids (isolated nodes included), and per contact row k
+the intp columns ``a[k] < b[k]`` indexing ``labels`` and the float64
+columns ``start[k] <= end[k]``, rows sorted by (start, end, a, b). Every
+stage reads the columns; :class:`ContactEvent` is the row view.
+
 All types are immutable after construction and safe to share across
-concurrent readers. Invariant checking lives in :func:`validate_trace`,
-which reports violations as data instead of raising, so that partially
-broken inputs can still be inspected.
+concurrent readers; the column arrays are read-only. Invariant checking
+lives in :func:`validate_trace`, which reports violations as data
+instead of raising, so that partially broken inputs can still be
+inspected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,19 +54,31 @@ class ContactEvent:
         return (self.start, self.end, self.a, self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactTrace:
-    """Ordered collection of contact events plus the node universe.
+    """A contact sequence as node-column arrays plus the node universe.
 
-    ``events`` are sorted by start time. ``nodes`` contains every id that
-    appears in an event; isolated known nodes may be added explicitly so
-    they count toward N.
+    The constructor takes the columns as they are, unsorted and unchecked
+    (see :func:`validate_trace`), and stores them as read-only arrays.
     """
 
-    events: tuple[ContactEvent, ...]
-    nodes: frozenset[int]
+    labels: tuple[int, ...]
+    a: np.ndarray
+    b: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
     span_min: float
     span_max: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for name, dtype in (("a", np.intp), ("b", np.intp), ("start", float), ("end", float)):
+            column = np.asarray(getattr(self, name), dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.a)
 
     @classmethod
     def from_events(
@@ -65,19 +87,45 @@ class ContactTrace:
         extra_nodes: Iterable[int] = (),
         span: Optional[tuple[float, float]] = None,
     ) -> "ContactTrace":
-        evs = tuple(sorted(events, key=ContactEvent.sort_key))
-        nodes = set(extra_nodes)
-        for ev in evs:
-            nodes.add(ev.a)
-            nodes.add(ev.b)
-        if span is not None:
-            span_min, span_max = float(span[0]), float(span[1])
-        elif evs:
-            span_min = min(ev.start for ev in evs)
-            span_max = max(ev.end for ev in evs)
-        else:
-            span_min = span_max = 0.0
-        return cls(evs, frozenset(nodes), span_min, span_max)
+        rows = [(ev.a, ev.b, ev.start, ev.end) for ev in events]
+        return cls._from_rows(rows, extra_nodes, span)._time_ordered()
+
+    @classmethod
+    def _from_rows(cls, rows, extra_nodes=(), span=None) -> "ContactTrace":
+        """The trace of ``(id_a, id_b, start, end)`` rows, ``id_a < id_b``, unsorted."""
+        a, b, start, end = zip(*rows) if rows else ((), (), (), ())
+        labels = tuple(sorted(set(a).union(b, extra_nodes)))
+        column = dict(zip(labels, range(len(labels)))).__getitem__
+        if span is None:
+            span = (min(start), max(end)) if rows else (0.0, 0.0)
+        return cls(labels, list(map(column, a)), list(map(column, b)), start, end,
+                   float(span[0]), float(span[1]))
+
+    def _time_ordered(self) -> "ContactTrace":
+        """This trace with its rows sorted by (start, end, a, b)."""
+        order = np.lexsort((self.b, self.a, self.end, self.start))
+        return replace(self, a=self.a[order], b=self.b[order],
+                       start=self.start[order], end=self.end[order])
+
+    def _by_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows sorted by (a, b, start, end), and along that order a mask
+        of each pair's first row."""
+        order = np.lexsort((self.end, self.start, self.b, self.a))
+        a, b = self.a[order], self.b[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        return order, first
+
+    @cached_property
+    def nodes(self) -> frozenset[int]:
+        return frozenset(self.labels)
+
+    @cached_property
+    def events(self) -> tuple[ContactEvent, ...]:
+        """The rows as ContactEvents, in row order."""
+        ids = self.labels.__getitem__
+        return tuple(map(ContactEvent, map(ids, self.a.tolist()), map(ids, self.b.tolist()),
+                         self.start.tolist(), self.end.tolist()))
 
     def contacts_of(self, a: int, b: int) -> tuple[ContactEvent, ...]:
         """All events of the unordered pair (a, b)."""
@@ -138,43 +186,30 @@ def validate_trace(trace: ContactTrace) -> list[Violation]:
     """Check every ContactEvent and ContactTrace invariant.
 
     Returns an empty list iff the trace is valid; otherwise one
-    Violation per failed rule. Violations are data, not errors.
+    Violation per failed rule and event, grouped by rule. Violations are
+    data, not errors.
     """
-    out: list[Violation] = []
-    for idx, ev in enumerate(trace.events):
-        if ev.a == ev.b:
-            out.append(Violation("self-contact", f"event {idx} has a == b == {ev.a}", idx))
-        if ev.start > ev.end:
-            out.append(
-                Violation(
-                    "reversed-interval",
-                    f"event {idx} has start {ev.start} > end {ev.end}",
-                    idx,
-                )
-            )
-        if ev.start < trace.span_min or ev.end > trace.span_max:
-            out.append(
-                Violation(
-                    "outside-span",
-                    f"event {idx} [{ev.start}, {ev.end}] escapes span "
-                    f"[{trace.span_min}, {trace.span_max}]",
-                    idx,
-                )
-            )
-        if ev.a not in trace.nodes or ev.b not in trace.nodes:
-            out.append(
-                Violation("unknown-node", f"event {idx} references node(s) not in node set", idx)
-            )
-    for idx in range(1, len(trace.events)):
-        if trace.events[idx - 1].start > trace.events[idx].start:
-            out.append(
-                Violation("unsorted", f"event {idx} starts before its predecessor", idx)
-            )
-    observed = set()
-    for ev in trace.events:
-        observed.add(ev.a)
-        observed.add(ev.b)
-    missing = observed - set(trace.nodes)
-    if missing:
-        out.append(Violation("node-set-incomplete", f"ids {sorted(missing)} missing from node set"))
+    a, b, n = trace.a, trace.b, len(trace.labels)
+    start, end = trace.start.tolist(), trace.end.tolist()
+    lo, hi = trace.span_min, trace.span_max
+    unknown = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+    rules = [
+        ("self-contact", a == b,
+         lambda k: f"event {k} has a == b == {a[k] if unknown[k] else trace.labels[a[k]]}"),
+        ("reversed-interval", trace.start > trace.end,
+         lambda k: f"event {k} has start {start[k]} > end {end[k]}"),
+        ("outside-span", (trace.start < lo) | (trace.end > hi),
+         lambda k: f"event {k} [{start[k]}, {end[k]}] escapes span [{lo}, {hi}]"),
+        ("unknown-node", unknown, lambda k: f"event {k} references node(s) not in node set"),
+        ("unsorted", np.diff(trace.start, prepend=-math.inf) < 0,
+         lambda k: f"event {k} starts before its predecessor"),
+    ]
+    out = [
+        Violation(rule, detail(k), k)
+        for rule, mask, detail in rules
+        for k in np.flatnonzero(mask).tolist()
+    ]
+    if unknown.any():
+        missing = sorted({*a[unknown].tolist(), *b[unknown].tolist()} - set(range(n)))
+        out.append(Violation("node-set-incomplete", f"columns {missing} not in the {n} labels"))
     return out

@@ -149,13 +149,16 @@ def pair_aggregates(
         from .ingestion import clip_to_period
 
         trace = clip_to_period(trace, period)
-    totals: dict[tuple[int, int], list[float]] = {}
-    for ev in trace.events:
-        acc = totals.setdefault(ev.pair, [0.0, 0])
-        acc[0] += ev.duration
-        acc[1] += 1
+    order, first = trace._by_pair()
+    pair = np.empty_like(order)
+    pair[order] = np.cumsum(first) - 1
+    # bincount adds in row order, as one running sum per pair would
+    totals = np.bincount(pair, trace.end - trace.start).tolist()
+    ids, rows = trace.labels, order[first]
+    pairs = zip(trace.a[rows].tolist(), trace.b[rows].tolist())
     return [
-        PairAggregate(pair, acc[0], int(acc[1])) for pair, acc in sorted(totals.items())
+        PairAggregate((ids[a], ids[b]), total, count)
+        for (a, b), total, count in zip(pairs, totals, np.bincount(pair).tolist())
     ]
 
 
@@ -197,13 +200,7 @@ def build_snapshots(
     """
     w = cfg.w
     count = window_count(period, w)
-    nodes = tuple(sorted(trace.nodes))
-    column = {node: c for c, node in enumerate(nodes)}
-    events, size = trace.events, len(trace.events)
-    a = np.fromiter((column[ev.a] for ev in events), np.intp, size)
-    b = np.fromiter((column[ev.b] for ev in events), np.intp, size)
-    start = np.fromiter((ev.start for ev in events), float, size)
-    end = np.fromiter((ev.end for ev in events), float, size)
+    start, end = trace.start, trace.end
     inside = (end >= period.t_min) & (start <= period.t_max)
     # windows of the ends; clamping to [0, W-1] clips the event to the period
     k = np.floor((np.stack([start, end])[:, inside] - period.t_min) / w + 1e-9)
@@ -211,12 +208,12 @@ def build_snapshots(
     spans = np.maximum(k1 - k0 + 1, 0)
     # one row per event per window it intersects, then sorted and de-duplicated
     window = np.repeat(k0 - np.cumsum(spans) + spans, spans) + np.arange(spans.sum())
-    a, b = np.repeat(a[inside], spans), np.repeat(b[inside], spans)
+    a, b = np.repeat(trace.a[inside], spans), np.repeat(trace.b[inside], spans)
     rows = np.stack([window, a, b], axis=1)[np.lexsort((b, a, window))]
     fresh = np.diff(rows, axis=0, prepend=-1).any(axis=1)
     return SnapshotSequence(
         window_width=float(w),
         window_count=count,
         contacts=rows[fresh],
-        nodes=nodes,
+        nodes=trace.labels,
     )

@@ -5,8 +5,9 @@ distances are found by exhaustive enumeration of window subsequences,
 the infection table by a forward pass over the windows, edge journeys
 by breadth-first search over explicit (node, window, hops) states,
 betweenness by enumerating every shortest journey as a full state
-sequence, random-waypoint contacts by one scan step per tick, and the
-trace writers by sorting one Python row per line.
+sequence, random-waypoint contacts by one scan step per tick, the
+trace writers by sorting one Python row per line, and the overlap merge,
+the period clip and the pair aggregates by one ContactEvent at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from collections import deque
 
 import numpy as np
 
-from dtnmetrics import ContactEvent, window_count
-from dtnmetrics.ingestion import COMMON_FORMAT_HEADER, _fmt_time
+from dtnmetrics import ContactEvent, ContactTrace, PairAggregate, window_count
+from dtnmetrics.ingestion import COMMON_FORMAT_HEADER
 from dtnmetrics.rwp_gen import build_tracks, positions_at
 
 
@@ -355,6 +356,12 @@ def rwp_events(params):
     return tuple(sorted(events, key=ContactEvent.sort_key))
 
 
+def _fmt_time(t: float) -> str:
+    if t == int(t):
+        return str(int(t))
+    return repr(float(t))
+
+
 def common_format_text(trace):
     """The common format, pairs grouped in a dict and each pair's contacts
     sorted by (start, end)."""
@@ -384,3 +391,50 @@ def one_report_text(trace):
         rows.append((ev.end, 1, f"{_fmt_time(ev.end)} CONN {ev.a} {ev.b} down"))
     rows.sort(key=lambda r: (r[0], r[1]))
     return "\n".join(r[2] for r in rows) + "\n"
+
+
+def merge_pair_overlaps(events: list[ContactEvent]) -> list[ContactEvent]:
+    """Merge strictly overlapping intervals of the same pair into their union."""
+    by_pair: dict[tuple[int, int], list[ContactEvent]] = {}
+    for ev in events:
+        by_pair.setdefault(ev.pair, []).append(ev)
+    merged: list[ContactEvent] = []
+    for pair, evs in by_pair.items():
+        evs.sort(key=lambda e: (e.start, e.end))
+        cur = evs[0]
+        for ev in evs[1:]:
+            if ev.start < cur.end:
+                cur = ContactEvent(cur.a, cur.b, cur.start, max(cur.end, ev.end))
+            else:
+                merged.append(cur)
+                cur = ev
+        merged.append(cur)
+    merged.sort(key=ContactEvent.sort_key)
+    return merged
+
+
+def clip_to_period(trace, period):
+    """Restrict a trace to one analysis period, one event at a time."""
+    clipped = []
+    for ev in trace.events:
+        if ev.end < period.t_min or ev.start > period.t_max:
+            continue
+        clipped.append(
+            ContactEvent(
+                ev.a, ev.b, max(ev.start, period.t_min), min(ev.end, period.t_max)
+            )
+        )
+    return ContactTrace.from_events(clipped, span=(period.t_min, period.t_max))
+
+
+def pair_aggregates(trace):
+    """Total contact time and occurrence count per pair, one running sum per
+    pair in event order."""
+    totals: dict[tuple[int, int], list[float]] = {}
+    for ev in trace.events:
+        acc = totals.setdefault(ev.pair, [0.0, 0])
+        acc[0] += ev.duration
+        acc[1] += 1
+    return [
+        PairAggregate(pair, acc[0], int(acc[1])) for pair, acc in sorted(totals.items())
+    ]

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -382,6 +383,29 @@ class TestImportHygiene:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestColumnarTrace:
+    def test_commands_build_no_contact_events(self, tmp_path, six_node_file):
+        # every command reads the trace's columns; ContactEvent is only the
+        # row view, so no CLI path may build one
+        one, common = str(tmp_path / "rwp.one"), str(tmp_path / "rwp.txt")
+        commands = [
+            ["generate", "--nodes", "5", "--duration", "120", "--area-width", "100",
+             "--area-height", "100", "--seed", "2", "--format", "one", "--output", one],
+            ["convert", "--input", one, "--from", "one", "--to", "common", "--output", common],
+            ["convert", "--input", common, "--from", "common", "--to", "one"],
+            ["window", "--input", six_node_file],
+            ["analyze", "--input", six_node_file],
+            ["analyze", "--input", one, "--format", "one", "--window", "30",
+             "--period", "0:60", "--period", "60:120"],
+            ["matrix", "--input", six_node_file, "--window", "300"],
+        ]
+        refuse = mock.Mock(side_effect=AssertionError("ContactEvent built"))
+        with mock.patch.object(ContactEvent, "__post_init__", refuse):
+            for argv in commands:
+                assert main(argv) == EXIT_OK, argv
+        refuse.assert_not_called()
 
 
 class TestWindowCountBound:

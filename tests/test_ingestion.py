@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtnmetrics import (
@@ -10,11 +10,14 @@ from dtnmetrics import (
     ContactTrace,
     ParseError,
     clip_to_period,
+    pair_aggregates,
     parse_common_format,
     parse_one_report,
+    validate_trace,
     write_common_format,
     write_one_report,
 )
+from dtnmetrics.ingestion import _merge_pair_overlaps
 
 from . import oracles
 from .conftest import ONE_REPORT_EVENTS, ONE_REPORT_TEXT
@@ -239,7 +242,10 @@ def writer_traces(draw):
         start, end = sorted(draw(st.lists(st.sampled_from(TIMES), min_size=2, max_size=2)))
         events.append(ContactEvent(a, b, start, draw(st.sampled_from((start, end)))))
     if draw(st.booleans()):
-        return ContactTrace(tuple(events), frozenset(range(n)), 0, max(TIMES))
+        return ContactTrace(
+            tuple(range(n)), [ev.a for ev in events], [ev.b for ev in events],
+            [ev.start for ev in events], [ev.end for ev in events], 0, max(TIMES),
+        )
     return ContactTrace.from_events(events)
 
 
@@ -258,6 +264,83 @@ class TestWritersMatchOracles:
         trace = ContactTrace.from_events([])
         assert write_one_report(trace) == oracles.one_report_text(trace) == "\n"
         assert write_common_format(trace) == oracles.common_format_text(trace)
+
+
+# A coarse grid, so that starts tie, intervals chain, touch and nest, and
+# periods straddle and touch events; sums of its fractions round.
+GRID = (0, 0.1, 0.2, 0.3, 0.7, 1, 1.3, 2, 2.9, 3, 4.5, 6)
+
+
+@st.composite
+def oracle_events(draw):
+    """Unsorted events among nodes whose ids may reach 2^53 or 2^64 + 1,
+    instantaneous or of a grid length, and a period on the grid, t_min
+    often above 0."""
+    base = draw(st.sampled_from((0, 2**53, 2**64 + 1)))
+    ids = [base + k for k in range(draw(st.integers(2, 5)))]
+    events = []
+    for _ in range(draw(st.integers(0, 14))):
+        a, b = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+        start = draw(st.sampled_from(GRID))
+        events.append(ContactEvent(a, b, start, start + draw(st.sampled_from(GRID))))
+    t_min, t_max = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2,
+                                        unique=True)))
+    return events, AnalysisPeriod(t_min, t_max)
+
+
+def _drawn_order(events: list[ContactEvent]) -> ContactTrace:
+    """The events as columns in drawn order, spanning their extent."""
+    labels = sorted({node for ev in events for node in ev.pair})
+    return ContactTrace(
+        labels, [labels.index(ev.a) for ev in events], [labels.index(ev.b) for ev in events],
+        [ev.start for ev in events], [ev.end for ev in events],
+        min((ev.start for ev in events), default=0), max((ev.end for ev in events), default=0),
+    )
+
+
+def _same(got: ContactTrace, want: ContactTrace) -> None:
+    assert got.events == want.events
+    assert got.nodes == want.nodes
+    assert (got.span_min, got.span_max) == (want.span_min, want.span_max)
+
+
+class TestColumnStagesMatchOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_events())
+    def test_merge(self, drawn):
+        events, _ = drawn
+        want = ContactTrace.from_events(oracles.merge_pair_overlaps(events))
+        for trace in (ContactTrace.from_events(events), _drawn_order(events)):
+            _same(_merge_pair_overlaps(trace), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_events())
+    def test_parsed_common_format_is_the_merged_trace(self, drawn):
+        events, _ = drawn
+        assume(events)
+        parsed = parse_common_format(write_common_format(ContactTrace.from_events(events)))
+        _same(parsed, ContactTrace.from_events(oracles.merge_pair_overlaps(events)))
+        assert validate_trace(parsed) == []
+        assert validate_trace(parse_one_report(write_one_report(parsed))) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_events(), st.booleans())
+    def test_clip(self, drawn, isolated):
+        events, period = drawn
+        extra = [2**60] if isolated else []
+        trace = ContactTrace.from_events(events, extra_nodes=extra)
+        clipped = clip_to_period(trace, period)
+        _same(clipped, oracles.clip_to_period(trace, period))
+        assert validate_trace(clipped) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_events())
+    def test_pair_aggregates_are_bit_identical(self, drawn):
+        events, period = drawn
+        trace = ContactTrace.from_events(events)
+        clipped = clip_to_period(trace, period)
+        for t in (trace, _drawn_order(events), clipped):
+            assert pair_aggregates(t) == oracles.pair_aggregates(t)
 
 
 class TestRoundTrips:

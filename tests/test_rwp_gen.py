@@ -208,7 +208,9 @@ class TestWorkBound:
         "overrides",
         [{"node_count": 100_000}, {"node_count": 1449, "duration": 1.0},
          {"tick": 1e-9}, {"node_count": 98, "duration": 1e6, "tick": 1.0},
-         {"duration": 1e300, "tick": 1e-300}],
+         {"duration": 1e300, "tick": 1e-300},
+         {"node_count": 2, "duration": 10.0, "area_width": 1.0, "area_height": 1.0,
+          "speed_min": 1e6, "speed_max": 1e6, "pause_max": 0.0, "tick": 1.0}],
     )
     def test_rejected_before_any_allocation(self, overrides):
         with mock.patch.object(rwp_gen, "build_tracks", side_effect=AssertionError), \
@@ -220,7 +222,9 @@ class TestWorkBound:
         [dict(node_count=98, duration=4600.0, tick=1.0),  # the scale test
          dict(node_count=60, duration=3000.0, tick=1.0),  # the benchmark
          dict(node_count=63, duration=3096.0, tick=0.1),  # the README example
-         dict(node_count=1448, duration=1.0, tick=1.0)],  # the most pairs
+         dict(node_count=1448, duration=1.0, tick=1.0),  # the most pairs
+         dict(node_count=100, duration=30000.0, area_width=323.0, area_height=323.0,
+              speed_min=0.5, speed_max=1.5, pause_max=120.0, tick=10.0)],  # the long trace
     )
     def test_sizes_in_use_are_admitted(self, overrides):
         small_params(**overrides)
@@ -230,4 +234,7 @@ class TestWorkBound:
             assert main(["generate", "--nodes", "100000", "--duration", "10"]) == EXIT_USAGE
             assert main(["generate", "--nodes", "3", "--duration", "10",
                          "--tick", "1e-9"]) == EXIT_USAGE
+            assert main(["generate", "--nodes", "3", "--duration", "10", "--tick", "1",
+                         "--area-width", "1", "--area-height", "1", "--speed-min", "1e6",
+                         "--speed-max", "1e6", "--pause-max", "0"]) == EXIT_USAGE
         assert "too large" in capsys.readouterr().err

@@ -99,8 +99,7 @@ class TestValidateTrace:
 
     def test_self_contact_violation(self):
         trace = ContactTrace(
-            events=(ContactEvent(2, 2, 0, 1),),
-            nodes=frozenset({2}),
+            labels=(2,), a=[0], b=[0], start=[0], end=[1],
             span_min=0,
             span_max=1,
         )
@@ -109,8 +108,7 @@ class TestValidateTrace:
 
     def test_reversed_interval_violation(self):
         trace = ContactTrace(
-            events=(ContactEvent(0, 1, 9, 3),),
-            nodes=frozenset({0, 1}),
+            labels=(0, 1), a=[0], b=[1], start=[9], end=[3],
             span_min=0,
             span_max=10,
         )
@@ -119,8 +117,7 @@ class TestValidateTrace:
 
     def test_outside_span_violation(self):
         trace = ContactTrace(
-            events=(ContactEvent(0, 1, 5, 15),),
-            nodes=frozenset({0, 1}),
+            labels=(0, 1), a=[0], b=[1], start=[5], end=[15],
             span_min=0,
             span_max=10,
         )
@@ -129,8 +126,7 @@ class TestValidateTrace:
 
     def test_unsorted_violation(self):
         trace = ContactTrace(
-            events=(ContactEvent(0, 1, 5, 6), ContactEvent(2, 3, 1, 2)),
-            nodes=frozenset({0, 1, 2, 3}),
+            labels=(0, 1, 2, 3), a=[0, 2], b=[1, 3], start=[5, 1], end=[6, 2],
             span_min=0,
             span_max=10,
         )
@@ -139,8 +135,7 @@ class TestValidateTrace:
 
     def test_node_set_incomplete_violation(self):
         trace = ContactTrace(
-            events=(ContactEvent(0, 1, 0, 1),),
-            nodes=frozenset({0}),
+            labels=(0,), a=[0], b=[1], start=[0], end=[1],
             span_min=0,
             span_max=1,
         )
