@@ -167,12 +167,17 @@ def _load_trace(path: str, fmt: str) -> ContactTrace:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    parse = ingestion.parse_one_report if fmt == "one" else ingestion.parse_common_format
+    warnings: list[ingestion.ParseWarning] = []
     try:
-        if fmt == "one":
-            return ingestion.parse_one_report(text)
-        return ingestion.parse_common_format(text)
+        trace = parse(text, warnings)
     except ingestion.ParseError as exc:
         raise InputError(f"{path}: {exc}") from None
+    if warnings:
+        print(f"warning: {path}: {len(warnings)} parse warning(s)", file=sys.stderr)
+        for w in warnings[:3]:
+            print(f"warning: {path}: line {w.line}: {w.message}", file=sys.stderr)
+    return trace
 
 
 def _parse_period_flag(value: str) -> tuple[float, float]:

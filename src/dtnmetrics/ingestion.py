@@ -13,23 +13,38 @@ time) are always re-derived and never trusted; mismatches surface as
 warnings. Overlapping intervals for the same pair are merged into one
 event spanning their union before analysis, so a pair's airtime is
 never double counted.
+
+Both parsers are column code. ``_read_blocks`` reads ``_BLOCK_ROWS``
+lines at a time (a str is cut into lines ``_PIECE`` characters at a
+time; a file handle or an iterable of lines is streamed block by block),
+splits them and turns the fields into token columns. A time
+column is one ``float`` pass. Node ids, occurrence counts, ONE operations
+and actions go through dicts keyed by distinct token (``_Tokens``): each
+distinct token is converted once, with Python ``int`` semantics for ids,
+so ``"07"`` is node 7 and ids of 2^64 keep their identity, and a row then
+costs one dict lookup per field. The rules that span rows (the
+re-derived columns, FIFO pairing of ups and downs) are array code over
+the columns of all blocks. A malformed row raises ``ParseError`` with the
+line and message of the first check it fails, checks running row by row
+in field order; the warnings of the rows before it are still reported.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
-from itertools import compress
-from typing import IO, Iterable, Iterator, Optional, Union
+from itertools import chain, compress, islice
+from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from .trace_model import AnalysisPeriod, ContactTrace
 
 TextSource = Union[str, IO[str], Iterable[str]]
-# Rows the writers format at once.
+# Lines the parsers read, and rows the writers format, at once.
 _BLOCK_ROWS = 1024
+# Characters of a str text that the parsers split into lines at once.
+_PIECE = 1 << 16
 
 
 class ParseError(ValueError):
@@ -49,21 +64,142 @@ class ParseWarning:
     message: str
 
 
-def _rows(text: TextSource) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, fields)`` per non-blank row; a non-numeric first one is a header."""
-    lines = text.splitlines() if isinstance(text, str) else text
-    first = True
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        if first:
-            first = False
-            try:
-                float(fields[0])
-            except ValueError:
+class _Block:
+    """One block of ``_read_blocks``: the line number of each non-blank row,
+    the fields of its rows as token columns, and its first failing row.
+
+    Checks are offered in the order the fields of a row are checked in; a
+    check moves the failure only to a strictly earlier row, so the message
+    is that of the failing row's first failed check. ``limit`` is the number
+    of rows before the failing row, all rows when none fails.
+    """
+
+    def __init__(self, lines: np.ndarray, columns: list[list[str]]):
+        self.lines = lines
+        self.columns = columns
+        self.limit = len(lines)
+        self.error: Optional[str] = None
+
+    def fail(self, row: int, message: Callable[[int], str]) -> None:
+        if row < self.limit:
+            self.limit, self.error = row, message(row)
+
+    def check(self, failed: np.ndarray, message: Callable[[int], str]) -> None:
+        """Fail at the first row where ``failed`` holds."""
+        rows = np.flatnonzero(failed[:self.limit])
+        if len(rows):
+            self.fail(int(rows[0]), message)
+
+    def floats(self, tokens: list[str], message: Callable[[int], str]) -> np.ndarray:
+        """The token column as float64; nan from the first token that
+        ``float`` rejects, which fails its row."""
+        try:
+            return np.fromiter(map(float, tokens), float, len(tokens))
+        except ValueError:
+            row = next(k for k, token in enumerate(tokens) if _rejection(float, token))
+            self.fail(row, message)
+            values = np.full(len(tokens), np.nan)
+            values[:row] = list(map(float, tokens[:row]))
+            return values
+
+    def kept(self, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The line numbers and the columns of the rows before the failing row."""
+        return tuple(c[:self.limit] for c in (self.lines, *columns))
+
+    def parse_error(self) -> Optional[ParseError]:
+        if self.error is None:
+            return None
+        return ParseError(self.error, int(self.lines[self.limit]))
+
+
+def _rejection(convert: Callable[[str], object], token: str) -> Optional[str]:
+    """What ``convert`` says when it rejects ``token``, None if it accepts it."""
+    try:
+        convert(token)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _str_lines(text: str) -> Iterator[list[str]]:
+    """The lines of ``text`` as ``str.splitlines`` splits it, with their line
+    ends, ``_PIECE`` characters at a time so that they never all exist at once."""
+    start, size = 0, _PIECE
+    while start < len(text):
+        lines = text[start:start + size].splitlines(keepends=True)
+        if start + size < len(text):
+            # The last line may go on in the next piece, if only by the
+            # "\n" of a "\r\n".
+            lines.pop()
+            if not lines:
+                size *= 2
                 continue
-        yield lineno, fields
+        start += sum(map(len, lines))
+        yield lines
+
+
+def _read_blocks(text: TextSource, width: int) -> Iterator[_Block]:
+    """The rows of ``text``, ``_BLOCK_ROWS`` lines at a time, as columns of
+    ``width`` tokens. Blank lines are skipped, and a first non-blank row
+    whose first field is not a number is a header. A row of another width
+    fails; its block is the last. An empty text is one empty block."""
+    lines = chain.from_iterable(_str_lines(text)) if isinstance(text, str) else iter(text)
+    lineno, header = 1, True
+    while True:
+        raw = list(islice(lines, _BLOCK_ROWS))
+        split = list(map(str.split, raw))
+        counts = np.fromiter(map(len, split), np.intp, len(split))
+        rows = np.flatnonzero(counts)
+        fields = list(filter(None, split))
+        if header and fields:
+            header = False
+            if _rejection(float, fields[0][0]):
+                rows, fields = rows[1:], fields[1:]
+        counts = counts[rows]
+        wrong = np.flatnonzero(counts != width)
+        n = int(wrong[0]) if len(wrong) else len(fields)
+        flat = list(chain.from_iterable(islice(fields, n)))
+        block = _Block(rows + lineno, [flat[k::width] for k in range(width)])
+        block.fail(n, lambda k: f"expected {width} columns, got {counts[k]}")
+        lineno += len(raw)
+        yield block
+        if block.error is not None or len(raw) < _BLOCK_ROWS:
+            return
+
+
+class _Tokens:
+    """The distinct tokens of some columns and what ``convert`` makes of
+    each, converted once per distinct token; a column then costs one dict
+    lookup per row. Equal values share one index into ``values``."""
+
+    def __init__(self, convert: Callable[[str], object]):
+        self.convert = convert
+        self.index: dict[str, int] = {}
+        self.value: dict[object, int] = {}
+
+    @property
+    def values(self) -> list:
+        return list(self.value)
+
+    def codes(self, tokens: list[str]) -> np.ndarray:
+        """Each token's index into ``values``, -1 where ``convert`` raises
+        ValueError."""
+        try:
+            return np.fromiter(map(self.index.__getitem__, tokens), np.intp, len(tokens))
+        except KeyError:
+            for token in set(tokens).difference(self.index):
+                try:
+                    value = self.convert(token)
+                except ValueError:
+                    self.index[token] = -1
+                else:
+                    self.index[token] = self.value.setdefault(value, len(self.value))
+            return self.codes(tokens)
+
+    def lookup(self, tokens: list[str], rejected) -> np.ndarray:
+        """Each token's value, ``rejected`` where ``convert`` raises ValueError."""
+        codes = self.codes(tokens)
+        return np.array([*self.values, rejected])[codes]
 
 
 def _merge_pair_overlaps(trace: ContactTrace) -> ContactTrace:
@@ -102,53 +238,75 @@ def parse_common_format(
     columns are checked against recomputation; mismatches produce
     warnings and the recomputed values win.
     """
-    events: list[tuple[int, int, float, float]] = []
-    last_up: dict[tuple[int, int], float] = {}
-    occ_seen: dict[tuple[int, int], int] = {}
-    for lineno, fields in _rows(text):
-        if len(fields) != 6:
-            raise ParseError(f"expected 6 columns, got {len(fields)}", lineno)
-        try:
-            src = int(fields[0])
-            dst = int(fields[1])
-            up = float(fields[2])
-            down = float(fields[3])
-            occ = int(fields[4])
-            inter = float(fields[5])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", lineno) from None
-        if not (math.isfinite(up) and math.isfinite(down) and math.isfinite(inter)):
-            raise ParseError("non-finite time (nan or inf)", lineno)
-        if up > down:
-            raise ParseError(f"connection up {up} after down {down}", lineno)
-        if src == dst:
-            raise ParseError(f"self-contact of node {src}", lineno)
-        pair = (src, dst) if src < dst else (dst, src)
-        expected_occ = occ_seen.get(pair, 0) + 1
-        occ_seen[pair] = expected_occ
-        if occ != expected_occ:
-            _warn(warnings, lineno, f"occurrence count {occ} != recomputed {expected_occ}")
-        expected_inter = up - last_up[pair] if pair in last_up else 0.0
-        last_up[pair] = up
-        if abs(inter - expected_inter) > 1e-9:
-            _warn(
-                warnings,
-                lineno,
-                f"inter-contact time {inter} != recomputed {expected_inter}",
-            )
-        events.append((*pair, up, down))
-    if not events:
+    nodes, counts = _Tokens(int), _Tokens(int)
+    parts, error = [], None
+    for block in _read_blocks(text, 6):
+        src, dst, up, down, occ, inter = block.columns
+        a = nodes.codes(src)
+        block.check(a < 0, _non_numeric(src, int))
+        b = nodes.codes(dst)
+        block.check(b < 0, _non_numeric(dst, int))
+        start = block.floats(up, _non_numeric(up))
+        end = block.floats(down, _non_numeric(down))
+        count = counts.codes(occ)
+        block.check(count < 0, _non_numeric(occ, int))
+        gap = block.floats(inter, _non_numeric(inter))
+        block.check(~(np.isfinite(start) & np.isfinite(end) & np.isfinite(gap)),
+                    lambda k: "non-finite time (nan or inf)")
+        block.check(start > end,
+                    lambda k: f"connection up {float(start[k])} after down {float(end[k])}")
+        block.check(a == b, lambda k: f"self-contact of node {nodes.values[a[k]]}")
+        parts.append(block.kept(a, b, start, end, count, gap))
+        error = block.parse_error()
+        if error:
+            break
+    lines, a, b, start, end, count, gap = map(np.concatenate, zip(*parts))
+    del parts
+    if warnings is not None:
+        warnings.extend(_recount(lines, a, b, start, counts.values, count, gap))
+    if error:
+        raise error
+    if not len(a):
         raise ParseError("no events")
-    return _merge_pair_overlaps(ContactTrace._from_rows(events))
+    return _contact_trace(nodes.values, a, b, start, end)
+
+
+def _non_numeric(tokens: list[str], convert: Callable[[str], object] = float):
+    return lambda k: f"non-numeric field: {_rejection(convert, tokens[k])}"
+
+
+def _recount(lines, a, b, start, values, count, gap) -> Iterator[ParseWarning]:
+    """Warnings, in line order, for the rows whose occurrence count
+    (``values[count]``) or inter-contact time ``gap`` differs from the one
+    their pair's earlier rows give."""
+    order, first = _pairs_in_line_order(a, b)
+    expected_count, expected_gap = np.empty(len(order), np.int64), np.empty(len(order))
+    expected_count[order] = _group_cumsum(np.ones(len(order), np.int64), first)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ups = start[order]
+        expected_gap[order] = np.where(first, 0.0, np.diff(ups, prepend=ups[:1]))
+        wrong_gap = np.abs(gap - expected_gap) > 1e-9
+    # A count beyond the row count can match no recomputed count.
+    wrong_count = np.array([min(max(v, 0), len(a) + 1) for v in values], np.int64)[count]
+    wrong_count = wrong_count != expected_count
+    for k in np.flatnonzero(wrong_count | wrong_gap).tolist():
+        line = int(lines[k])
+        if wrong_count[k]:
+            yield ParseWarning(line, f"occurrence count {values[count[k]]} != recomputed "
+                                     f"{int(expected_count[k])}")
+        if wrong_gap[k]:
+            yield ParseWarning(line, f"inter-contact time {float(gap[k])} != recomputed "
+                                     f"{float(expected_gap[k])}")
 
 
 _NODE_ID = re.compile(r"^[A-Za-z]*(\d+)$")
 
 
-def _node_id(token: str, lineno: int) -> int:
+def _node_id(token: str) -> int:
+    """A ONE node id: the number after an optional alphabetic prefix."""
     m = _NODE_ID.match(token)
     if not m:
-        raise ParseError(f"bad node id {token!r}", lineno)
+        raise ValueError(token)
     return int(m.group(1))
 
 
@@ -162,56 +320,120 @@ def parse_one_report(
     An up with no down by end of stream is closed at the last simulation
     time observed, with a warning.
     """
-    open_ups: dict[tuple[int, int], list[tuple[float, int]]] = {}
-    events: list[tuple[int, int, float, float]] = []
-    last_time = 0.0
-    saw_rows = False
-    for lineno, fields in _rows(text):
-        if len(fields) != 5:
-            raise ParseError(f"expected 5 columns, got {len(fields)}", lineno)
-        try:
-            sim_time = float(fields[0])
-        except ValueError:
-            raise ParseError(f"non-numeric simulation time {fields[0]!r}", lineno) from None
-        if not math.isfinite(sim_time):
-            raise ParseError(f"non-finite simulation time {fields[0]!r}", lineno)
-        saw_rows = True
-        last_time = max(last_time, sim_time)
-        if fields[1].upper() != "CONN":
-            _warn(warnings, lineno, f"skipping non-CONN operation {fields[1]!r}")
-            continue
-        n1 = _node_id(fields[2], lineno)
-        n2 = _node_id(fields[3], lineno)
-        if n1 == n2:
-            raise ParseError(f"self-contact of node {n1}", lineno)
-        action = fields[4].lower()
-        pair = (n1, n2) if n1 < n2 else (n2, n1)
-        if action == "up":
-            open_ups.setdefault(pair, []).append((sim_time, lineno))
-        elif action == "down":
-            stack = open_ups.get(pair)
-            if not stack:
-                raise ParseError(f"down for pair {pair} with no open up", lineno)
-            start, _ = stack.pop(0)
-            events.append((*pair, start, sim_time))
-        else:
-            raise ParseError(f"unknown action {fields[4]!r}", lineno)
-    for pair, stack in open_ups.items():
-        for start, lineno in stack:
-            _warn(
-                warnings,
-                lineno,
-                f"up for pair {pair} never closed; truncating at {last_time}",
-            )
-            events.append((*pair, start, last_time))
-    if not events:
-        raise ParseError("no events" if saw_rows else "empty input, no events")
-    return _merge_pair_overlaps(ContactTrace._from_rows(events))
+    nodes = _Tokens(_node_id)
+    ops = _Tokens(lambda op: op.upper() == "CONN")
+    actions = _Tokens(lambda action: ("down", "up").index(action.lower()))
+    parts, notes, error = [], [], None
+    for block in _read_blocks(text, 5):
+        time, op, id1, id2, action = block.columns
+        t = block.floats(time, lambda k: f"non-numeric simulation time {time[k]!r}")
+        block.check(~np.isfinite(t), lambda k: f"non-finite simulation time {time[k]!r}")
+        conn = ops.lookup(op, False)
+        n1 = nodes.codes(id1)
+        block.check(conn & (n1 < 0), lambda k: f"bad node id {id1[k]!r}")
+        n2 = nodes.codes(id2)
+        block.check(conn & (n2 < 0), lambda k: f"bad node id {id2[k]!r}")
+        block.check(conn & (n1 == n2), lambda k: f"self-contact of node {nodes.values[n1[k]]}")
+        up = actions.lookup(action, -1)
+        block.check(conn & (up < 0), lambda k: f"unknown action {action[k]!r}")
+        part = block.kept(t, conn, n1, n2, up)
+        notes += [ParseWarning(int(block.lines[k]), f"skipping non-CONN operation {op[k]!r}")
+                  for k in np.flatnonzero(~part[2]).tolist()]
+        parts.append(part)
+        error = block.parse_error()
+        if error:
+            break
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    del parts
+    contacts = _fifo_contacts(nodes.values, error, notes, warnings, *columns)
+    del columns  # free the row columns before the trace is built
+    return _contact_trace(nodes.values, *contacts)
 
 
-def _warn(sink: Optional[list[ParseWarning]], line: Optional[int], message: str) -> None:
-    if sink is not None:
-        sink.append(ParseWarning(line, message))
+def _fifo_contacts(ids: list[int], error: Optional[ParseError], notes: list[ParseWarning],
+                   warnings: Optional[list[ParseWarning]], lines: np.ndarray, t: np.ndarray,
+                   conn: np.ndarray, n1: np.ndarray, n2: np.ndarray,
+                   up: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The contacts ``(n1, n2, start, end)`` of a ONE report's rows, down
+    rows first in line order, then the ups left open. Raises the first
+    error, a down with no open up before ``error``; the ``notes`` of the
+    rows before it go to ``warnings``."""
+    events = np.flatnonzero(conn)
+    order, first = _pairs_in_line_order(n1[events], n2[events])
+    order = events[order]
+    step = 2 * up[order] - 1
+    open_ups = _group_cumsum(step, first)
+    if (open_ups < 0).any():
+        k = int(order[open_ups < 0].min())
+        error = ParseError(f"down for pair {_pair(ids, n1[k], n2[k])} with no open up",
+                           int(lines[k]))
+    if warnings is not None:
+        warnings.extend(w for w in notes if error is None or w.line < error.line)
+    if error:
+        raise error
+    # The k-th down of a pair closes its k-th up; the ups after its last
+    # down stay open until the greatest time read.
+    opening = step > 0
+    pair = np.cumsum(first) - 1
+    downs_of_pair = np.bincount(pair[~opening], minlength=len(first))
+    closes = _group_cumsum(opening, first) <= downs_of_pair[pair]
+    start = np.empty(len(t))
+    start[order[~opening]] = t[order[opening & closes]]
+    downs = np.flatnonzero(conn & (up == 0))
+    unclosed = order[opening & ~closes]
+    if len(unclosed):
+        # Report the open ups pair by pair, in the order of each pair's first up.
+        first_up = np.minimum.reduceat(np.where(opening, order, len(t)), np.flatnonzero(first))
+        unclosed = unclosed[np.lexsort((unclosed, first_up[pair[opening & ~closes]]))]
+    last = float(t[np.argmax(t)]) if len(t) else 0.0
+    if warnings is not None:
+        warnings.extend(
+            ParseWarning(int(lines[k]), f"up for pair {_pair(ids, n1[k], n2[k])} never "
+                                        f"closed; truncating at {last}")
+            for k in unclosed.tolist())
+    rows = np.concatenate([downs, unclosed])
+    if not len(rows):
+        raise ParseError("no events" if len(t) else "empty input, no events")
+    return (n1[rows], n2[rows], np.concatenate([start[downs], t[unclosed]]),
+            np.concatenate([t[downs], np.full(len(unclosed), last)]))
+
+
+def _pair(values: list[int], c1: int, c2: int) -> tuple[int, int]:
+    return tuple(sorted((values[c1], values[c2])))
+
+
+def _pairs_in_line_order(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows sorted by unordered pair (``lexsort`` is stable, so each
+    pair's rows stay in line order), and along that order a mask of each
+    pair's first row."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return order, first
+
+
+def _group_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The running sum of ``values`` within each group of rows that ``first`` opens."""
+    total = np.cumsum(values)
+    opener = np.maximum.accumulate(np.where(first, np.arange(len(first)), 0))
+    return total - (total - values)[opener]
+
+
+def _contact_trace(ids: list[int], a: np.ndarray, b: np.ndarray, start: np.ndarray,
+                   end: np.ndarray) -> ContactTrace:
+    """The merged trace of the contacts between nodes ``ids[a]`` and
+    ``ids[b]``, spanning from the first least start to the first greatest end."""
+    used = np.zeros(len(ids), dtype=bool)
+    used[a] = used[b] = True
+    nodes = sorted(np.flatnonzero(used).tolist(), key=ids.__getitem__)
+    column = np.empty(len(ids), np.intp)
+    column[nodes] = np.arange(len(nodes))
+    a, b = column[a], column[b]
+    trace = ContactTrace(tuple(map(ids.__getitem__, nodes)), np.minimum(a, b), np.maximum(a, b),
+                         start, end, float(start[start.argmin()]), float(end[end.argmax()]))
+    return _merge_pair_overlaps(trace)
 
 
 def clip_to_period(trace: ContactTrace, period: AnalysisPeriod) -> ContactTrace:
@@ -267,8 +489,7 @@ def write_common_format(trace: ContactTrace) -> str:
     """
     order, first = trace._by_pair()
     a, b, start, end = (x[order] for x in (trace.a, trace.b, trace.start, trace.end))
-    index = np.arange(len(a))
-    occ = index - np.maximum.accumulate(np.where(first, index, 0)) + 1
+    occ = _group_cumsum(np.ones(len(a), np.intp), first)
     inter = np.where(first, 0.0, np.diff(start, prepend=start[:1]))
     ids = np.array(trace.labels, dtype=object)
     rows = _blocks("{} {} {} {} {} {}", ids[a], ids[b], start, end, occ, inter)

@@ -12,7 +12,6 @@ temporal betweenness sweep is, on one window, Brandes' algorithm.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,14 +35,28 @@ class AggregatedGraph:
         return len(self.nodes)
 
     @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """The sorted nodes, and the two end columns of the edges as
+        indices into them."""
+        nodes = tuple(sorted(self.nodes))
+        column = dict(zip(nodes, range(len(nodes)))).__getitem__
+        ends = tuple(zip(*self.edges)) or ((), ())
+        a, b = (np.fromiter(map(column, end), np.intp, len(self.edges)) for end in ends)
+        return nodes, a, b
+
+    @cached_property
     def window(self) -> SnapshotSequence:
         """The graph as one window over the sorted nodes; self-loops are
         dropped, since a self-loop is on no shortest path."""
-        nodes = tuple(sorted(self.nodes))
-        column = {node: c for c, node in enumerate(nodes)}
-        pairs = {tuple(sorted((column[a], column[b]))) for a, b in self.edges if a != b}
-        contacts = np.array([(0, a, b) for a, b in sorted(pairs)], dtype=np.intp)
-        return SnapshotSequence(1.0, 1, contacts.reshape(-1, 3), nodes)
+        nodes, a, b = self._columns
+        loop = a == b
+        lo, hi = np.minimum(a, b)[~loop], np.maximum(a, b)[~loop]
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        new = np.ones(len(lo), dtype=bool)
+        new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        contacts = np.stack([np.zeros(new.sum(), np.intp), lo[new], hi[new]], axis=1)
+        return SnapshotSequence(1.0, 1, contacts, nodes)
 
     @cached_property
     def hops(self) -> np.ndarray:
@@ -128,8 +141,9 @@ def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     """degree_centrality of every node in one pass (a self-loop counts once)."""
     if g.n < 2:
         raise ValueError("degree centrality needs at least 2 nodes")
-    links = Counter(node for edge in g.edges for node in set(edge))
-    return [CentralityScore(i, links[i] / (g.n - 1)) for i in sorted(g.nodes)]
+    nodes, a, b = g._columns
+    links = np.bincount(np.concatenate([a, b[a != b]]), minlength=len(nodes)).tolist()
+    return [CentralityScore(i, k / (g.n - 1)) for i, k in zip(nodes, links)]
 
 
 def closeness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:

@@ -6,8 +6,9 @@ the infection table by a forward pass over the windows, edge journeys
 by breadth-first search over explicit (node, window, hops) states,
 betweenness by enumerating every shortest journey as a full state
 sequence, random-waypoint contacts by one scan step per tick, the
-trace writers by sorting one Python row per line, and the overlap merge,
-the period clip and the pair aggregates by one ContactEvent at a time.
+trace writers by sorting one Python row per line, the parsers by one
+Python step per line, and the overlap merge, the period clip and the pair
+aggregates by one ContactEvent at a time.
 """
 
 from __future__ import annotations
@@ -15,12 +16,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from collections import deque
+from typing import Iterator, Optional
 
 import numpy as np
 
 from dtnmetrics import ContactEvent, ContactTrace, PairAggregate, window_count
-from dtnmetrics.ingestion import COMMON_FORMAT_HEADER
+from dtnmetrics.ingestion import (
+    COMMON_FORMAT_HEADER,
+    ParseError,
+    ParseWarning,
+    TextSource,
+)
 from dtnmetrics.rwp_gen import build_tracks, positions_at
 
 
@@ -438,3 +446,150 @@ def pair_aggregates(trace):
     return [
         PairAggregate(pair, acc[0], int(acc[1])) for pair, acc in sorted(totals.items())
     ]
+
+
+def _rows(text: TextSource) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` per non-blank row; a non-numeric first one is a header."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    first = True
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if first:
+            first = False
+            try:
+                float(fields[0])
+            except ValueError:
+                continue
+        yield lineno, fields
+
+
+def parse_common_format_lines(
+    text: TextSource, warnings: Optional[list[ParseWarning]] = None
+) -> ContactTrace:
+    """Parse the six-column common format into a ContactTrace.
+
+    One contact per row with start = connection-up time and
+    end = connection-down time. The occurrence-count and inter-contact
+    columns are checked against recomputation; mismatches produce
+    warnings and the recomputed values win.
+    """
+    events: list[tuple[int, int, float, float]] = []
+    last_up: dict[tuple[int, int], float] = {}
+    occ_seen: dict[tuple[int, int], int] = {}
+    for lineno, fields in _rows(text):
+        if len(fields) != 6:
+            raise ParseError(f"expected 6 columns, got {len(fields)}", lineno)
+        try:
+            src = int(fields[0])
+            dst = int(fields[1])
+            up = float(fields[2])
+            down = float(fields[3])
+            occ = int(fields[4])
+            inter = float(fields[5])
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field: {exc}", lineno) from None
+        if not (math.isfinite(up) and math.isfinite(down) and math.isfinite(inter)):
+            raise ParseError("non-finite time (nan or inf)", lineno)
+        if up > down:
+            raise ParseError(f"connection up {up} after down {down}", lineno)
+        if src == dst:
+            raise ParseError(f"self-contact of node {src}", lineno)
+        pair = (src, dst) if src < dst else (dst, src)
+        expected_occ = occ_seen.get(pair, 0) + 1
+        occ_seen[pair] = expected_occ
+        if occ != expected_occ:
+            _warn(warnings, lineno, f"occurrence count {occ} != recomputed {expected_occ}")
+        expected_inter = up - last_up[pair] if pair in last_up else 0.0
+        last_up[pair] = up
+        if abs(inter - expected_inter) > 1e-9:
+            _warn(
+                warnings,
+                lineno,
+                f"inter-contact time {inter} != recomputed {expected_inter}",
+            )
+        events.append((*pair, up, down))
+    if not events:
+        raise ParseError("no events")
+    return _merged_trace(events)
+
+
+_NODE_ID = re.compile(r"^[A-Za-z]*(\d+)$")
+
+
+def _node_id(token: str, lineno: int) -> int:
+    m = _NODE_ID.match(token)
+    if not m:
+        raise ParseError(f"bad node id {token!r}", lineno)
+    return int(m.group(1))
+
+
+def parse_one_report_lines(
+    text: TextSource, warnings: Optional[list[ParseWarning]] = None
+) -> ContactTrace:
+    """Parse a ONE simulator connectivity report into a ContactTrace.
+
+    Up/down rows are paired per unordered node pair (FIFO on unclosed
+    ups; the report may name the pair in either order on the down row).
+    An up with no down by end of stream is closed at the last simulation
+    time observed, with a warning.
+    """
+    open_ups: dict[tuple[int, int], list[tuple[float, int]]] = {}
+    events: list[tuple[int, int, float, float]] = []
+    last_time = -math.inf
+    saw_rows = False
+    for lineno, fields in _rows(text):
+        if len(fields) != 5:
+            raise ParseError(f"expected 5 columns, got {len(fields)}", lineno)
+        try:
+            sim_time = float(fields[0])
+        except ValueError:
+            raise ParseError(f"non-numeric simulation time {fields[0]!r}", lineno) from None
+        if not math.isfinite(sim_time):
+            raise ParseError(f"non-finite simulation time {fields[0]!r}", lineno)
+        saw_rows = True
+        last_time = max(last_time, sim_time)
+        if fields[1].upper() != "CONN":
+            _warn(warnings, lineno, f"skipping non-CONN operation {fields[1]!r}")
+            continue
+        n1 = _node_id(fields[2], lineno)
+        n2 = _node_id(fields[3], lineno)
+        if n1 == n2:
+            raise ParseError(f"self-contact of node {n1}", lineno)
+        action = fields[4].lower()
+        pair = (n1, n2) if n1 < n2 else (n2, n1)
+        if action == "up":
+            open_ups.setdefault(pair, []).append((sim_time, lineno))
+        elif action == "down":
+            stack = open_ups.get(pair)
+            if not stack:
+                raise ParseError(f"down for pair {pair} with no open up", lineno)
+            start, _ = stack.pop(0)
+            events.append((*pair, start, sim_time))
+        else:
+            raise ParseError(f"unknown action {fields[4]!r}", lineno)
+    for pair, stack in open_ups.items():
+        for start, lineno in stack:
+            _warn(
+                warnings,
+                lineno,
+                f"up for pair {pair} never closed; truncating at {last_time}",
+            )
+            events.append((*pair, start, last_time))
+    if not events:
+        raise ParseError("no events" if saw_rows else "empty input, no events")
+    return _merged_trace(events)
+
+
+def _warn(sink: Optional[list[ParseWarning]], line: Optional[int], message: str) -> None:
+    if sink is not None:
+        sink.append(ParseWarning(line, message))
+
+
+def _merged_trace(events: list[tuple[int, int, float, float]]) -> ContactTrace:
+    """The merged trace of ``(a, b, start, end)`` rows, spanning from the
+    first least start to the first greatest end in row order."""
+    span = (min(e[2] for e in events), max(e[3] for e in events))
+    merged = merge_pair_overlaps(list(itertools.starmap(ContactEvent, events)))
+    return ContactTrace.from_events(merged, span=span)

@@ -142,6 +142,25 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(path), "--format", fmt]) == EXIT_USAGE
         assert "line 2: self-contact of node 0" in capsys.readouterr().err
 
+    def test_parse_warnings_go_to_stderr(self, capsys, tmp_path, six_node_file):
+        # the occurrence column is re-derived, so a wrong one changes no result
+        argv = ["analyze", "--window", "300", "--report-format", "delimited"]
+        assert main([*argv, "--input", six_node_file]) == EXIT_OK
+        want = capsys.readouterr()
+        with open(six_node_file) as fh:
+            lines = fh.read().splitlines()
+        src, dst, up, down, _, gap = lines[2].split()
+        lines[2] = " ".join([src, dst, up, down, "9", gap])
+        path = tmp_path / "wrong_count.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main([*argv, "--input", str(path)]) == EXIT_OK
+        got = capsys.readouterr()
+        cells = [[line.split("\t", 1)[1] for line in r.out.splitlines()] for r in (got, want)]
+        assert cells[0] == cells[1]  # all but dataset_name, the input path
+        assert want.err == ""
+        assert "1 parse warning(s)" in got.err
+        assert "line 3: occurrence count 9 != recomputed 1" in got.err
+
     def test_header_after_blank_line(self, capsys, tmp_path, six_node_file):
         path = tmp_path / "blank_first.txt"
         with open(six_node_file) as fh:
@@ -367,15 +386,29 @@ class TestExitCodes:
 
 
 class TestImportHygiene:
-    def test_runtime_never_loads_networkx(self, six_node_file):
-        # networkx is only a test reference; the program must not load it
+    def test_runtime_never_loads_networkx(self, tmp_path, six_node_file):
+        # networkx is only a test reference and numpy.ma (which np.unique
+        # imports) is a heavy import no command needs; no command may load them
         src = Path(dtnmetrics.__file__).resolve().parent.parent
-        argv = ["analyze", "--input", six_node_file, "--window", "300"]
+        one, common = str(tmp_path / "rwp.one"), str(tmp_path / "rwp.txt")
+        commands = [
+            ["generate", "--nodes", "5", "--duration", "120", "--area-width", "100",
+             "--area-height", "100", "--seed", "2", "--format", "one", "--output", one],
+            ["convert", "--input", one, "--from", "one", "--to", "common", "--output", common],
+            ["convert", "--input", common, "--from", "common", "--to", "one",
+             "--output", str(tmp_path / "again.one")],
+            ["window", "--input", six_node_file],
+            ["analyze", "--input", six_node_file, "--window", "300"],
+            ["analyze", "--input", one, "--format", "one", "--window", "30"],
+            ["matrix", "--input", six_node_file, "--window", "300"],
+        ]
         code = (
             "import sys\n"
             "import dtnmetrics.cli\n"
-            f"assert dtnmetrics.cli.main({argv!r}) == 0\n"
+            f"for argv in {commands!r}:\n"
+            "    assert dtnmetrics.cli.main(argv) == 0, argv\n"
             "assert 'networkx' not in sys.modules\n"
+            "assert 'numpy.ma' not in sys.modules\n"
         )
         path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}

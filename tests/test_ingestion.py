@@ -1,4 +1,6 @@
+import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from dtnmetrics import (
     ContactEvent,
     ContactTrace,
     ParseError,
+    ParseWarning,
     clip_to_period,
     pair_aggregates,
     parse_common_format,
@@ -17,7 +20,8 @@ from dtnmetrics import (
     write_common_format,
     write_one_report,
 )
-from dtnmetrics.ingestion import _merge_pair_overlaps
+from dtnmetrics import ingestion
+from dtnmetrics.ingestion import _BLOCK_ROWS, _PIECE, _merge_pair_overlaps
 
 from . import oracles
 from .conftest import ONE_REPORT_EVENTS, ONE_REPORT_TEXT
@@ -169,6 +173,18 @@ class TestParseOneReport:
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="no events"):
             parse_one_report("")
+
+    def test_open_up_truncated_at_the_last_time_when_all_times_are_negative(self):
+        warnings = []
+        text = "-50 CONN 1 2 up\n-40 CONN 3 4 up\n-30 CONN 3 4 down"
+        trace = parse_one_report(text, warnings)
+        assert trace.events == (ContactEvent(1, 2, -50, -30), ContactEvent(3, 4, -40, -30))
+        assert trace.span_max == -30
+        assert warnings == [
+            ParseWarning(1, "up for pair (1, 2) never closed; truncating at -30.0")
+        ]
+        for parse in (parse_one_report, oracles.parse_one_report_lines):
+            assert parse(text).events == trace.events
 
 
 class TestClipToPeriod:
@@ -380,3 +396,185 @@ def _random_disjoint_trace(rnd: random.Random) -> ContactTrace:
     if not events:
         events.append(ContactEvent(0, 1, 1.0, 2.0))
     return ContactTrace.from_events(events)
+
+
+# Tokens the parsers must read exactly as the line loops do: ids with
+# leading zeros, underscores, signs and prefixes, ids of 2^53 and 2^64 + 1,
+# signed zeros; each field also has tokens that fail its row.
+_IDS = ("0", "1", "2", "07", "7", "1_0", "+2", "-3", str(2**53), str(2**64 + 1)), ("x", "1.5")
+_TIMES = ("0", "-0", "1", "2.5", "3", "7", "-4", "1e3", "1_0"), ("nan", "inf", "-inf", "t")
+_COUNTS = ("1", "1", "2", "3", "0", "02", str(2**64 + 1)), ("c", "1.0")
+_GAPS = ("0", "0", "1", "2.5", "1e-10", "-0"), ("nan", "g")
+_ONE_IDS = ("0", "1", "2", "n1", "N2", "x07", "7", "07", str(2**53), f"n{2**64 + 1}"), ("1a", "-1")
+_OPS = ("CONN", "CONN", "CONN", "conn", "Conn", "MSG"), ()
+_ACTIONS = ("up", "down", "UP", "Down"), ("sideways",)
+_FILLER = ("", " ", "\t")
+
+
+def _one_id(token: str) -> int:
+    return int(token.lstrip("nNx"))
+
+
+@st.composite
+def _fields(draw, pools, clean):
+    """One token per pool, each a failing one with odds 1 in 20 unless ``clean``."""
+    return [draw(st.sampled_from(bad if bad and not clean and draw(st.integers(0, 19)) == 0
+                                 else good)) for good, bad in pools]
+
+
+@st.composite
+def _report(draw, row):
+    """A text of ``row(draw, clean, state)`` lines, maybe after blank lines
+    and a header (or a header and a numeric-looking second one). A clean
+    text's rows all parse; the others mix in failing tokens, blank lines and
+    rows of any width, some of them numeric."""
+    clean, state = draw(st.booleans()), {}
+    head = draw(st.lists(st.sampled_from(_FILLER), max_size=2))
+    head += draw(st.sampled_from([[], ["source destination up down occ inter"],
+                                  ["time op a b action"], ["1e0 b c d e f"],
+                                  ["time op a b action", "1e0 op a b action"]]))
+    odd = st.one_of(st.sampled_from(_FILLER),
+                    st.lists(st.sampled_from(("1", "2.5", "a", "CONN", "up")), max_size=7))
+    body = []
+    for _ in range(draw(st.integers(0, 14))):
+        if not clean and draw(st.integers(0, 11)) == 0:
+            body.append(draw(odd))
+        else:
+            body.append(row(draw, clean, state))
+    sep = draw(st.sampled_from(("\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028")))
+    return sep.join(head + [r if isinstance(r, str) else " ".join(r) for r in body])
+
+
+def _common_row(draw, clean, state):
+    src, dst, up, down, occ, gap = draw(_fields([_IDS, _IDS, _TIMES, _TIMES, _COUNTS, _GAPS],
+                                                clean))
+    if clean:
+        src, dst = draw(st.lists(st.sampled_from(_IDS[0]), min_size=2, max_size=2,
+                                 unique_by=int))
+        up, down = sorted((up, down), key=float)
+    return [src, dst, up, down, occ, gap]
+
+
+def _one_row(draw, clean, state):
+    time, op, a, b, action = draw(_fields([_TIMES, _OPS, _ONE_IDS, _ONE_IDS, _ACTIONS], clean))
+    if clean:
+        a, b = draw(st.lists(st.sampled_from(_ONE_IDS[0]), min_size=2, max_size=2,
+                             unique_by=_one_id))
+        pair = frozenset(map(_one_id, (a, b)))
+        if op.upper() == "CONN":
+            if not state.get(pair):
+                action = "up" if action.islower() else "UP"
+            state[pair] = state.get(pair, 0) + (1 if action.lower() == "up" else -1)
+    return [time, op, a, b, action]
+
+
+_COMMON_TEXT = _report(_common_row)
+_ONE_TEXT = _report(_one_row)
+
+
+def _outcome(parse, source):
+    """The parsed columns or the error, with the warnings in order."""
+    warnings = []
+    try:
+        t = parse(source, warnings)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc)), warnings
+    columns = (t.labels, t.a.tolist(), t.b.tolist(), t.start.tolist(), t.end.tolist())
+    # repr tells a span of -0.0 from one of 0.0, which reports print apart
+    return ("trace", *columns, repr(t.span_min), repr(t.span_max)), warnings
+
+
+_ORACLES = {parse_common_format: oracles.parse_common_format_lines,
+            parse_one_report: oracles.parse_one_report_lines}
+
+
+def _agree(parse, text, block_rows=_BLOCK_ROWS, piece=_PIECE):
+    want = _outcome(_ORACLES[parse], text)
+    with mock.patch.multiple(ingestion, _BLOCK_ROWS=block_rows, _PIECE=piece):
+        assert _outcome(parse, text) == want
+    return want
+
+
+# Blocks of a few lines and pieces of a few characters put block and piece
+# boundaries everywhere, a "\r\n" split across two pieces included.
+_BLOCKS = st.sampled_from((1, 2, 3, _BLOCK_ROWS))
+_PIECES = st.sampled_from((1, 2, 5, _PIECE))
+
+
+class TestParsersMatchLineLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(_COMMON_TEXT, _BLOCKS, _PIECES)
+    def test_common_format(self, text, block_rows, piece):
+        _agree(parse_common_format, text, block_rows, piece)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ONE_TEXT, _BLOCKS, _PIECES)
+    def test_one_report(self, text, block_rows, piece):
+        _agree(parse_one_report, text, block_rows, piece)
+
+    def test_error_row_after_warning_rows(self):
+        text = "1 2 0 1 5 0\n1 2 3 4 1 9\n1 2 5 9 3 0\n1 1 6 7 4 1\n"
+        (kind, line, message), warnings = _agree(parse_common_format, text)
+        assert (kind, line) == ("error", 4) and "self-contact" in message
+        assert [w.line for w in warnings] == [1, 2, 2, 3]
+        text = "1 MSG 0 1 up\n2 CONN 0 1 up\n3 X 1 0 up\n4 CONN 1 2 down\n5 Y 0 1 up\n"
+        (kind, line, message), warnings = _agree(parse_one_report, text)
+        assert (kind, line) == ("error", 4) and "no open up" in message
+        assert [w.line for w in warnings] == [1, 3]
+
+
+def _common_rows(count):
+    return [f"{k % 5} {k % 5 + 1} {k} {k + 0.5} {k // 5 + 1} {5 if k >= 5 else 0}"
+            for k in range(count)]
+
+
+def _one_rows(count):
+    return [f"{k // 2} CONN {k // 2 % 7} {k // 2 % 7 + 1} {('up', 'down')[k % 2]}"
+            for k in range(count)]
+
+
+_SIZES = (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("count", _SIZES)
+    @pytest.mark.parametrize("parse, rows", [(parse_common_format, _common_rows),
+                                             (parse_one_report, _one_rows)])
+    def test_row_counts_around_a_block(self, parse, rows, count):
+        kind, *_ = _agree(parse, "\n".join(rows(count)))[0]
+        assert kind == "trace"
+
+    @pytest.mark.parametrize("blank", (_BLOCK_ROWS - 2, _BLOCK_ROWS - 1, _BLOCK_ROWS))
+    @pytest.mark.parametrize("header", ("source destination up down occ inter", "1e0 b c d e f"))
+    def test_header_on_either_side_of_a_boundary(self, blank, header):
+        text = "\n" * blank + header + "\n" + "\n".join(_common_rows(3))
+        _agree(parse_common_format, text)
+
+    @pytest.mark.parametrize("at", (*_SIZES, _BLOCK_ROWS - 2))
+    @pytest.mark.parametrize("bad", ("", "0 1 2 3 4", "0 x 1 2 1 0", "1 1 2 3 1 0", "0 1 5 4 1 0"))
+    def test_blank_or_bad_row_on_either_side_of_a_boundary(self, at, bad):
+        rows = _common_rows(_BLOCK_ROWS + 3)
+        rows[at] = bad
+        (kind, line, *_), _ = _agree(parse_common_format, "\n".join(rows))
+        assert (kind, line) == ("error", at + 1) if bad else kind == "trace"
+
+    def test_pair_open_across_blocks(self):
+        filler = [f"{k // 2} CONN 3 4 {('up', 'down')[k % 2]}" for k in range(_BLOCK_ROWS + 4)]
+        end = _BLOCK_ROWS + 9
+        text = "\n".join(["0 CONN 1 2 up", *filler, f"{end} CONN 2 1 down"])
+        (kind, labels, a, b, start, stop, *_), warnings = _agree(parse_one_report, text)
+        assert labels == (1, 2, 3, 4) and (0, 1, 0, end) in zip(a, b, start, stop)
+        assert warnings == []
+
+    @pytest.mark.parametrize("parse, rows", [(parse_common_format, _common_rows),
+                                             (parse_one_report, _one_rows)])
+    def test_str_lines_and_file_handle_agree(self, tmp_path, parse, rows):
+        text = "\n".join(["", "header row", *rows(_BLOCK_ROWS + 2)]) + "\n"
+        want = _outcome(parse, text)
+        assert want == _outcome(_ORACLES[parse], text)
+        assert _outcome(parse, text.splitlines()) == want
+        assert _outcome(parse, io.StringIO(text)) == want
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        with open(path) as fh:
+            assert _outcome(parse, fh) == want

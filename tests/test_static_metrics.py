@@ -200,6 +200,8 @@ def assert_matches_networkx(g: AggregatedGraph) -> None:
         with pytest.raises(ValueError):
             static_average_distance(g)
     assert static_diameter(g) == max(max(row.values()) for row in lengths.values())
+    # the one-pass degrees count a self-loop once, as degree() does
+    assert degree_centrality_all(g) == [degree_centrality(g, v) for v in sorted(g.nodes)]
     want = nx.closeness_centrality(graph, wf_improved=True)
     assert closeness_centrality_all(g) == [CentralityScore(v, want[v]) for v in sorted(g.nodes)]
     for v in g.nodes:
