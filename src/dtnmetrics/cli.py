@@ -120,14 +120,15 @@ def build_report(
 
 def _window_width(clipped: ContactTrace, period: AnalysisPeriod, w: float | None) -> float:
     """``w``, or the recommended width when None; windows^2 x nodes at most
-    ``_MAX_SCAN_WORK``."""
+    ``_MAX_SCAN_WORK``, counting the windows that would be allocated."""
     if not len(clipped):
         raise InputError("no contacts in period")
     if w is None:
         w = windowing.recommend_window(windowing.pair_aggregates(clipped))
-    if not 0 < w < math.inf:
-        raise InputError(f"window width must be positive and finite, got {w}")
-    windows, n = period.span / w, len(clipped.labels)
+    try:
+        windows, n = windowing.window_count(period, w), len(clipped.labels)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if windows * windows * n > _MAX_SCAN_WORK:
         raise InputError(
             f"window {w:g} is too fine: {windows:.2g} windows for {n} nodes,"
@@ -222,10 +223,15 @@ def _write_output(text: str, path: str | None) -> None:
         fh.write(text)
 
 
+def _write_trace(trace: ContactTrace, fmt: str, path: str | None) -> None:
+    write = ingestion.write_one_report if fmt == "one" else ingestion.write_common_format
+    _write_output(write(trace), path)
+
+
 def cmd_window(args) -> int:
     trace = _load_trace(args.input, args.format)
     period = _resolve_periods(args, trace)[0]
-    aggs = windowing.pair_aggregates(trace, period)
+    aggs = windowing.pair_aggregates(ingestion.clip_to_period(trace, period))
     if not aggs:
         raise InputError("no contacts in period")
     avg = windowing.average_meeting_time(aggs)
@@ -237,12 +243,8 @@ def cmd_window(args) -> int:
 
 def cmd_analyze(args) -> int:
     trace = _load_trace(args.input, args.format)
-    periods = _resolve_periods(args, trace)
-    reports = []
-    for period in periods:
-        reports.append(
-            build_report(trace, period, w=args.window, dataset_name=args.input)
-        )
+    reports = [build_report(trace, period, w=args.window, dataset_name=args.input)
+               for period in _resolve_periods(args, trace)]
     _write_output(format_reports(reports, args.report_format), args.output)
     return EXIT_OK
 
@@ -259,49 +261,28 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    trace = _load_trace(args.input, getattr(args, "from"))
-    if args.to == "one":
-        text = ingestion.write_one_report(trace)
-    else:
-        text = ingestion.write_common_format(trace)
-    _write_output(text, args.output)
+    _write_trace(_load_trace(args.input, getattr(args, "from")), args.to, args.output)
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
+    given = {f.name: getattr(args, f.name) for f in fields(rwp_gen.RwpParams)}
     try:
-        params = rwp_gen.RwpParams(
-            node_count=args.nodes,
-            duration=args.duration,
-            range=args.range,
-            area_width=args.area_width,
-            area_height=args.area_height,
-            speed_min=args.speed_min,
-            speed_max=args.speed_max,
-            pause_max=args.pause_max,
-            seed=args.seed,
-            tick=args.tick,
-        )
+        params = rwp_gen.RwpParams(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    trace = rwp_gen.generate(params)
-    if args.format == "one":
-        text = ingestion.write_one_report(trace)
-    else:
-        text = ingestion.write_common_format(trace)
-    _write_output(text, args.output)
+    _write_trace(rwp_gen.generate(params), args.format, args.output)
     return EXIT_OK
 
 
-def _add_io_flags(p, with_period=True):
+def _add_io_flags(p):
     p.add_argument("--input", required=True, help="trace file to read")
     p.add_argument(
         "--format", choices=("common", "one"), default="common", help="input format"
     )
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    if with_period:
-        p.add_argument("--tmin", type=float, default=None)
-        p.add_argument("--tmax", type=float, default=None)
+    p.add_argument("--tmin", type=float, default=None)
+    p.add_argument("--tmax", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,16 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("generate", help="synthesize a random-waypoint trace")
-    p.add_argument("--nodes", type=int, required=True)
+    # One flag per RwpParams field, which holds the defaults.
+    p.add_argument("--nodes", dest="node_count", type=int, required=True)
     p.add_argument("--duration", type=float, required=True)
-    p.add_argument("--range", type=float, default=100.0)
-    p.add_argument("--area-width", type=float, default=1000.0)
-    p.add_argument("--area-height", type=float, default=1000.0)
-    p.add_argument("--speed-min", type=float, default=0.5)
-    p.add_argument("--speed-max", type=float, default=1.5)
-    p.add_argument("--pause-max", type=float, default=120.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tick", type=float, default=0.1)
+    p.add_argument("--range", type=float)
+    p.add_argument("--area-width", type=float)
+    p.add_argument("--area-height", type=float)
+    p.add_argument("--speed-min", type=float)
+    p.add_argument("--speed-max", type=float)
+    p.add_argument("--pause-max", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tick", type=float)
     p.add_argument("--format", choices=("common", "one"), default="common")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_generate)

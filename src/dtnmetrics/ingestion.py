@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from itertools import chain, compress, islice
-from typing import IO, Callable, Iterable, Iterator, Optional, Union
+from itertools import chain, islice
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace
+from .trace_model import AnalysisPeriod, ContactTrace, group_cumsum, groups
 
 TextSource = Union[str, IO[str], Iterable[str]]
 # Lines the parsers read, and rows the writers format, at once.
@@ -263,7 +263,8 @@ def parse_common_format(
     lines, a, b, start, end, count, gap = map(np.concatenate, zip(*parts))
     del parts
     if warnings is not None:
-        warnings.extend(_recount(lines, a, b, start, counts.values, count, gap))
+        warnings.extend(_recount(lines, a, b, len(nodes.values), start, counts.values, count,
+                                 gap))
     if error:
         raise error
     if not len(a):
@@ -275,17 +276,14 @@ def _non_numeric(tokens: list[str], convert: Callable[[str], object] = float):
     return lambda k: f"non-numeric field: {_rejection(convert, tokens[k])}"
 
 
-def _recount(lines, a, b, start, values, count, gap) -> Iterator[ParseWarning]:
+def _recount(lines, a, b, n, start, values, count, gap) -> Iterator[ParseWarning]:
     """Warnings, in line order, for the rows whose occurrence count
     (``values[count]``) or inter-contact time ``gap`` differs from the one
-    their pair's earlier rows give."""
-    order, first = _pairs_in_line_order(a, b)
+    their pair's earlier rows give; ``a`` and ``b`` are below ``n``."""
+    order, first = groups(np.minimum(a, b) * n + np.maximum(a, b))
     expected_count, expected_gap = np.empty(len(order), np.int64), np.empty(len(order))
-    expected_count[order] = _group_cumsum(np.ones(len(order), np.int64), first)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ups = start[order]
-        expected_gap[order] = np.where(first, 0.0, np.diff(ups, prepend=ups[:1]))
-        wrong_gap = np.abs(gap - expected_gap) > 1e-9
+    expected_count[order], expected_gap[order] = _occurrences(start[order], first)
+    wrong_gap = np.abs(gap - expected_gap) > 1e-9
     # A count beyond the row count can match no recomputed count.
     wrong_count = np.array([min(max(v, 0), len(a) + 1) for v in values], np.int64)[count]
     wrong_count = wrong_count != expected_count
@@ -356,35 +354,42 @@ def _fifo_contacts(ids: list[int], error: Optional[ParseError], notes: list[Pars
                    up: np.ndarray) -> tuple[np.ndarray, ...]:
     """The contacts ``(n1, n2, start, end)`` of a ONE report's rows, down
     rows first in line order, then the ups left open. Raises the first
-    error, a down with no open up before ``error``; the ``notes`` of the
-    rows before it go to ``warnings``."""
+    error: before ``error``, a down with no open up or one timed before the
+    up it closes; the ``notes`` of the rows before it go to ``warnings``."""
     events = np.flatnonzero(conn)
-    order, first = _pairs_in_line_order(n1[events], n2[events])
+    order, first = groups((np.minimum(n1, n2) * len(ids) + np.maximum(n1, n2))[events])
     order = events[order]
-    step = 2 * up[order] - 1
-    open_ups = _group_cumsum(step, first)
-    if (open_ups < 0).any():
-        k = int(order[open_ups < 0].min())
-        error = ParseError(f"down for pair {_pair(ids, n1[k], n2[k])} with no open up",
-                           int(lines[k]))
+    opening = up[order] == 1
+    open_ups = group_cumsum(np.where(opening, 1, -1), first)
+    # The k-th down of a pair closes its k-th up: the up that follows all the
+    # ups before the down but those still open after it.
+    ups, downs = order[opening], order[~opening]
+    closing = (np.cumsum(opening) - open_ups - 1)[~opening]
+    paired = open_ups[~opening] >= 0
+    closed, closing = downs[paired], closing[paired]
+    start = np.empty(len(t))
+    start[closed] = t[ups[closing]]
+    no_up, early = downs[~paired], closed[start[closed] > t[closed]]
+    if len(no_up) or len(early):
+        k = int(min(no_up.min(initial=len(t)), early.min(initial=len(t))))
+        pair = _pair(ids, n1[k], n2[k])
+        error = ParseError(f"down for pair {pair} with no open up" if k in no_up else
+                           f"down for pair {pair} at {float(t[k])} before its up at "
+                           f"{float(start[k])}", int(lines[k]))
     if warnings is not None:
         warnings.extend(w for w in notes if error is None or w.line < error.line)
     if error:
         raise error
-    # The k-th down of a pair closes its k-th up; the ups after its last
-    # down stay open until the greatest time read.
-    opening = step > 0
-    pair = np.cumsum(first) - 1
-    downs_of_pair = np.bincount(pair[~opening], minlength=len(first))
-    closes = _group_cumsum(opening, first) <= downs_of_pair[pair]
-    start = np.empty(len(t))
-    start[order[~opening]] = t[order[opening & closes]]
-    downs = np.flatnonzero(conn & (up == 0))
-    unclosed = order[opening & ~closes]
+    # The ups after a pair's last down stay open until the greatest time read.
+    left_open = np.ones(len(ups), dtype=bool)
+    left_open[closing] = False
+    unclosed = ups[left_open]
     if len(unclosed):
         # Report the open ups pair by pair, in the order of each pair's first up.
+        pair = (np.cumsum(first) - 1)[opening]
         first_up = np.minimum.reduceat(np.where(opening, order, len(t)), np.flatnonzero(first))
-        unclosed = unclosed[np.lexsort((unclosed, first_up[pair[opening & ~closes]]))]
+        unclosed = unclosed[np.lexsort((unclosed, first_up[pair[left_open]]))]
+    downs = np.flatnonzero(conn & (up == 0))
     last = float(t[np.argmax(t)]) if len(t) else 0.0
     if warnings is not None:
         warnings.extend(
@@ -402,37 +407,34 @@ def _pair(values: list[int], c1: int, c2: int) -> tuple[int, int]:
     return tuple(sorted((values[c1], values[c2])))
 
 
-def _pairs_in_line_order(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows sorted by unordered pair (``lexsort`` is stable, so each
-    pair's rows stay in line order), and along that order a mask of each
-    pair's first row."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return order, first
+def _occurrences(start: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occurrence count and inter-contact time of rows grouped by pair,
+    each pair's rows in order, whose up times are ``start``: the row's rank in
+    its pair from 1, and its up time less the previous row's (0 for the first)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.where(first, 0.0, np.diff(start, prepend=start[:1]))
+    return group_cumsum(np.ones(len(first), np.int64), first), gap
 
 
-def _group_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The running sum of ``values`` within each group of rows that ``first`` opens."""
-    total = np.cumsum(values)
-    opener = np.maximum.accumulate(np.where(first, np.arange(len(first)), 0))
-    return total - (total - values)[opener]
+def _used_labels(ids: Sequence[int], a: np.ndarray,
+                 b: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The ids that ``a`` or ``b`` index, ascending, and ``a`` and ``b``
+    renumbered to index them."""
+    used = np.zeros(len(ids), dtype=bool)
+    used[a] = used[b] = True
+    nodes = sorted(np.flatnonzero(used).tolist(), key=ids.__getitem__)
+    column = np.empty(len(ids), np.intp)
+    column[nodes] = np.arange(len(nodes))
+    return tuple(map(ids.__getitem__, nodes)), column[a], column[b]
 
 
 def _contact_trace(ids: list[int], a: np.ndarray, b: np.ndarray, start: np.ndarray,
                    end: np.ndarray) -> ContactTrace:
     """The merged trace of the contacts between nodes ``ids[a]`` and
     ``ids[b]``, spanning from the first least start to the first greatest end."""
-    used = np.zeros(len(ids), dtype=bool)
-    used[a] = used[b] = True
-    nodes = sorted(np.flatnonzero(used).tolist(), key=ids.__getitem__)
-    column = np.empty(len(ids), np.intp)
-    column[nodes] = np.arange(len(nodes))
-    a, b = column[a], column[b]
-    trace = ContactTrace(tuple(map(ids.__getitem__, nodes)), np.minimum(a, b), np.maximum(a, b),
-                         start, end, float(start[start.argmin()]), float(end[end.argmax()]))
+    labels, a, b = _used_labels(ids, a, b)
+    trace = ContactTrace(labels, np.minimum(a, b), np.maximum(a, b), start, end,
+                         float(start[start.argmin()]), float(end[end.argmax()]))
     return _merge_pair_overlaps(trace)
 
 
@@ -444,14 +446,10 @@ def clip_to_period(trace: ContactTrace, period: AnalysisPeriod) -> ContactTrace:
     surviving events.
     """
     keep = (trace.end >= period.t_min) & (trace.start <= period.t_max)
-    a, b = trace.a[keep], trace.b[keep]
-    used = np.zeros(len(trace.labels), dtype=bool)
-    used[a] = used[b] = True
-    column = np.cumsum(used) - 1
+    labels, a, b = _used_labels(trace.labels, trace.a[keep], trace.b[keep])
     start = np.maximum(trace.start[keep], period.t_min)
     end = np.minimum(trace.end[keep], period.t_max)
-    clipped = ContactTrace(tuple(compress(trace.labels, used)), column[a], column[b], start, end,
-                           float(period.t_min), float(period.t_max))
+    clipped = ContactTrace(labels, a, b, start, end, float(period.t_min), float(period.t_max))
     return clipped._time_ordered()
 
 
@@ -489,8 +487,7 @@ def write_common_format(trace: ContactTrace) -> str:
     """
     order, first = trace._by_pair()
     a, b, start, end = (x[order] for x in (trace.a, trace.b, trace.start, trace.end))
-    occ = _group_cumsum(np.ones(len(a), np.intp), first)
-    inter = np.where(first, 0.0, np.diff(start, prepend=start[:1]))
+    occ, inter = _occurrences(start, first)
     ids = np.array(trace.labels, dtype=object)
     rows = _blocks("{} {} {} {} {} {}", ids[a], ids[b], start, end, occ, inter)
     return "\n".join([COMMON_FORMAT_HEADER, *rows]) + "\n"

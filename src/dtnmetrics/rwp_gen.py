@@ -11,7 +11,7 @@ Contacts are detected a block of ticks at a time: the squared distances
 of every node pair at every tick of the block form one (ticks x pairs)
 array, each row is compared with the row before it (the previous block's
 last row is carried across the boundary), and one ``np.flatnonzero``
-gives the (tick, pair) transitions. One ``np.lexsort`` by pair and tick
+gives the (tick, pair) transitions. Grouping them by pair, in tick order,
 then pairs them, since each pair alternates up, down, up, ...; an up
 left open closes at the final tick. A block holds three float64 and two
 boolean (ticks x pairs) buffers of at most ``_BLOCK_ELEMENTS`` elements
@@ -31,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .trace_model import ContactTrace
+from .trace_model import ContactTrace, group_cumsum, groups
 
 # Bounds on the scan, checked before allocation: ticks x pairs sets the time
 # (and the contacts a run can find), pairs alone the per-pair arrays and one
@@ -199,15 +199,11 @@ def generate(params: RwpParams) -> ContactTrace:
     """Simulate and return the contact trace (deterministic per seed)."""
     iu, ju = np.triu_indices(params.node_count, k=1)
     tick, pair = _transitions(params, iu, ju)
-    order = np.lexsort((tick, pair))
+    order, first = groups(pair, tick)
     tick, pair = tick[order], pair[order]
-    # Each pair's transitions alternate up, down, ...: an up is at an even
-    # offset from its pair's first transition, and the next one closes it.
-    first = np.ones(len(pair), dtype=bool)
-    first[1:] = pair[1:] != pair[:-1]
-    offset = np.arange(len(pair))
-    offset -= np.maximum.accumulate(np.where(first, offset, 0))
-    up = np.flatnonzero(offset % 2 == 0)
+    # Each pair's transitions alternate up, down, ...: an up is the odd-numbered
+    # transition of its pair, and the next one closes it.
+    up = np.flatnonzero(group_cumsum(np.ones(len(pair), np.intp), first) % 2 == 1)
     nxt = np.minimum(up + 1, len(pair) - 1)
     closed = (up + 1 < len(pair)) & (pair[nxt] == pair[up])
     down_tick = np.where(closed, tick[nxt], params.tick_count - 1)

@@ -6,8 +6,9 @@ columns reported next to the temporal metrics.
 
 The aggregated graph is the temporal graph seen through one window over
 the whole period, a one-window :class:`SnapshotSequence`. Its hop matrix
-(``temporal_metrics._relax``) gives the distances and closeness; its
-temporal betweenness sweep is, on one window, Brandes' algorithm.
+(``temporal_metrics.hop_matrix``, -1 for unreachable pairs) gives the
+distances and closeness; its temporal betweenness sweep is, on one window,
+Brandes' algorithm. Callers clip the trace to a period before aggregating.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .temporal_metrics import _BLOCK_ELEMENTS, _NO_HOPS, _relax, temporal_betweenness_all
-from .temporal_metrics import CentralityScore
-from .trace_model import AnalysisPeriod, ContactTrace
+from .temporal_metrics import CentralityScore, hop_matrix, temporal_betweenness_all
+from .trace_model import ContactTrace, groups
 from .windowing import SnapshotSequence
 
 
@@ -51,36 +51,19 @@ class AggregatedGraph:
         nodes, a, b = self._columns
         loop = a == b
         lo, hi = np.minimum(a, b)[~loop], np.maximum(a, b)[~loop]
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        new = np.ones(len(lo), dtype=bool)
-        new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        contacts = np.stack([np.zeros(new.sum(), np.intp), lo[new], hi[new]], axis=1)
+        order, first = groups(lo * len(nodes) + hi)
+        rows = order[first]
+        contacts = np.stack([np.zeros(len(rows), np.intp), lo[rows], hi[rows]], axis=1)
         return SnapshotSequence(1.0, 1, contacts, nodes)
 
     @cached_property
     def hops(self) -> np.ndarray:
-        """N x N fewest hops between ``window.nodes``, ``_NO_HOPS`` where
-        unreachable; sources are relaxed in blocks of rows x edges at most
-        ``_BLOCK_ELEMENTS``."""
-        hops = np.full((self.n, self.n), _NO_HOPS)
-        np.fill_diagonal(hops, 0)
-        cols, src, _, starts = self.window.window_graphs[0]
-        size = max(1, _BLOCK_ELEMENTS // max(1, len(src)))
-        for lo in range(0, len(cols), size):
-            block = np.arange(lo, min(lo + size, len(cols)))
-            h = np.full((len(block), len(cols)), _NO_HOPS)
-            h[np.arange(len(block)), block] = 0
-            hops[np.ix_(cols[block], cols)] = _relax(h, src, starts)
-        return hops
+        """N x N fewest hops between ``window.nodes``, -1 where unreachable."""
+        return hop_matrix(self.window)
 
 
-def aggregate(trace: ContactTrace, period: AnalysisPeriod | None = None) -> AggregatedGraph:
-    """Collapse all contacts in the period into one static graph."""
-    if period is not None:
-        from .ingestion import clip_to_period
-
-        trace = clip_to_period(trace, period)
+def aggregate(trace: ContactTrace) -> AggregatedGraph:
+    """Collapse all contacts of the trace into one static graph."""
     ids = trace.labels.__getitem__
     edges = frozenset(zip(map(ids, trace.a.tolist()), map(ids, trace.b.tolist())))
     return AggregatedGraph(trace.nodes, edges)
@@ -95,7 +78,7 @@ def static_average_distance(g: AggregatedGraph) -> float:
     """
     if not g.edges:
         raise ValueError("static average distance needs at least one edge")
-    reached = g.hops[(g.hops > 0) & (g.hops < _NO_HOPS)]
+    reached = g.hops[g.hops > 0]
     if reached.size == 0:
         raise ValueError("no connected pairs")
     return int(reached.sum()) / reached.size
@@ -147,7 +130,7 @@ def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
 
 
 def closeness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
-    reached = g.hops < _NO_HOPS
+    reached = g.hops >= 0
     sizes = reached.sum(axis=1).tolist()
     totals = np.where(reached, g.hops, 0).sum(axis=1).tolist()
     return [
@@ -160,4 +143,4 @@ def static_diameter(g: AggregatedGraph) -> int:
     """Maximum finite shortest-path length over pairs."""
     if not g.edges:
         raise ValueError("static diameter needs at least one edge")
-    return int(g.hops[g.hops < _NO_HOPS].max())
+    return int(g.hops.max())

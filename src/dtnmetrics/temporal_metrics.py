@@ -42,7 +42,8 @@ pass visits windows with edges until every source reaches every
 occurring node, logging the occupants' pre-window values; the backward
 pass undoes that log window by window. Sources run in blocks of rows
 times busiest-window edges <= ``_BLOCK_ELEMENTS``; a block holds
-O(rows * N) state and an O(rows * total occupancy) log.
+O(rows * N) state and an O(rows * total occupancy) log. :func:`hop_matrix`,
+the static baselines' fewest hops, relaxes one window in the same blocks.
 """
 
 from __future__ import annotations
@@ -324,14 +325,36 @@ def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScor
     first = occ.argmax(axis=0)
     sources = np.flatnonzero(occ.any(axis=0))
     sources = sources[np.argsort(first[sources], kind="stable")]
-    widest = max(1, *(len(src) for _, src, _, _ in snapshots.window_graphs))
-    size = max(1, _BLOCK_ELEMENTS // widest)
     credit = np.zeros(n)
-    for lo in range(0, len(sources), size):
-        block = sources[lo : lo + size]
+    for block in _source_blocks(snapshots, sources):
         credit += _block_credit(snapshots, block, first[block])
     norm = (n - 1) * (n - 2) * snapshots.window_count
     return [CentralityScore(node, float(c) / norm) for node, c in zip(nodes, credit)]
+
+
+def _source_blocks(snapshots: SnapshotSequence, sources: np.ndarray):
+    """Yield ``sources`` in order, in blocks of rows times busiest-window
+    edges at most ``_BLOCK_ELEMENTS``."""
+    widest = max(1, *(len(src) for _, src, _, _ in snapshots.window_graphs))
+    size = max(1, _BLOCK_ELEMENTS // widest)
+    for lo in range(0, len(sources), size):
+        yield sources[lo : lo + size]
+
+
+def hop_matrix(snapshots: SnapshotSequence) -> np.ndarray:
+    """N x N fewest edge hops between ``snapshots.nodes`` inside the first
+    window, -1 where unreachable; sources relax in blocks as in
+    :func:`temporal_betweenness_all`."""
+    n = len(snapshots.nodes)
+    hops = np.full((n, n), UNREACHABLE_SENTINEL)
+    np.fill_diagonal(hops, 0)
+    cols, src, _, starts = snapshots.window_graphs[0]
+    for block in _source_blocks(snapshots, np.arange(len(cols))):
+        h = np.full((len(block), len(cols)), _NO_HOPS)
+        h[np.arange(len(block)), block] = 0
+        h = _relax(h, src, starts)
+        hops[np.ix_(cols[block], cols)] = np.where(h < _NO_HOPS, h, UNREACHABLE_SENTINEL)
+    return hops
 
 
 def _relax(h: np.ndarray, src: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -6,6 +6,11 @@ the intp columns ``a[k] < b[k]`` indexing ``labels`` and the float64
 columns ``start[k] <= end[k]``, rows sorted by (start, end, a, b). Every
 stage reads the columns; :class:`ContactEvent` is the row view.
 
+Every stage that groups rows (by node pair, or by window and pair) does it
+with :func:`groups`, one stable sort and a mask of each group's first row,
+and sums within groups with :func:`group_cumsum`. A node pair is one intp
+key ``lo * n + hi``, its columns being below ``n``.
+
 All types are immutable after construction and safe to share across
 concurrent readers; the column arrays are read-only. Invariant checking
 lives in :func:`validate_trace`, which reports violations as data
@@ -108,13 +113,8 @@ class ContactTrace:
                        start=self.start[order], end=self.end[order])
 
     def _by_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows sorted by (a, b, start, end), and along that order a mask
-        of each pair's first row."""
-        order = np.lexsort((self.end, self.start, self.b, self.a))
-        a, b = self.a[order], self.b[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        return order, first
+        """The rows grouped by pair in (a, b, start, end) order (see groups)."""
+        return groups(self.a * len(self.labels) + self.b, self.end, self.start)
 
     @cached_property
     def nodes(self) -> frozenset[int]:
@@ -132,6 +132,24 @@ class ContactTrace:
         if a > b:
             a, b = b, a
         return tuple(ev for ev in self.events if ev.a == a and ev.b == b)
+
+
+def groups(key: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows sorted by ``key``, equal keys by ``ties`` as ``np.lexsort``
+    reads them (the last tie first) and then in row order; and along that
+    order a mask of the first row of each distinct key."""
+    order = np.lexsort((*ties, key))
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return order, first
+
+
+def group_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The running sum of ``values`` within each group of rows that ``first`` opens."""
+    total = np.cumsum(values)
+    opener = np.maximum.accumulate(np.where(first, np.arange(len(first)), 0))
+    return total - (total - values)[opener]
 
 
 @dataclass(frozen=True)

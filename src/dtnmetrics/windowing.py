@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig
+from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, groups
 
 
 @dataclass(frozen=True)
@@ -136,19 +136,12 @@ class SnapshotSequence:
         return tuple(int(k) for k in np.flatnonzero(column))
 
 
-def pair_aggregates(
-    trace: ContactTrace, period: AnalysisPeriod | None = None
-) -> list[PairAggregate]:
-    """One aggregate per pair with at least one contact in the period.
+def pair_aggregates(trace: ContactTrace) -> list[PairAggregate]:
+    """One aggregate per pair with at least one contact in the trace; clip
+    the trace to a period first to aggregate that period.
 
     Instantaneous contacts contribute zero duration but one occurrence.
-    The trace is expected to be clipped already; a period may be passed
-    to clip here instead.
     """
-    if period is not None:
-        from .ingestion import clip_to_period
-
-        trace = clip_to_period(trace, period)
     order, first = trace._by_pair()
     pair = np.empty_like(order)
     pair[order] = np.cumsum(first) - 1
@@ -183,6 +176,8 @@ def window_count(period: AnalysisPeriod, w: float) -> int:
     if not 0 < w < math.inf:
         raise ValueError(f"window width must be positive and finite, got {w}")
     ratio = period.span / w
+    if not math.isfinite(ratio):
+        raise ValueError(f"window {w:g} is too fine: span / width is not a finite number")
     nearest = round(ratio)
     if abs(ratio - nearest) < 1e-9 and nearest >= 1:
         return int(nearest)
@@ -209,11 +204,12 @@ def build_snapshots(
     # one row per event per window it intersects, then sorted and de-duplicated
     window = np.repeat(k0 - np.cumsum(spans) + spans, spans) + np.arange(spans.sum())
     a, b = np.repeat(trace.a[inside], spans), np.repeat(trace.b[inside], spans)
-    rows = np.stack([window, a, b], axis=1)[np.lexsort((b, a, window))]
-    fresh = np.diff(rows, axis=0, prepend=-1).any(axis=1)
+    n = len(trace.labels)
+    order, first = groups((window * n + a) * n + b)
+    rows = order[first]
     return SnapshotSequence(
         window_width=float(w),
         window_count=count,
-        contacts=rows[fresh],
+        contacts=np.stack([window[rows], a[rows], b[rows]], axis=1),
         nodes=trace.labels,
     )

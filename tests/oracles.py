@@ -566,6 +566,10 @@ def parse_one_report_lines(
             if not stack:
                 raise ParseError(f"down for pair {pair} with no open up", lineno)
             start, _ = stack.pop(0)
+            if start > sim_time:
+                raise ParseError(
+                    f"down for pair {pair} at {sim_time} before its up at {start}", lineno
+                )
             events.append((*pair, start, sim_time))
         else:
             raise ParseError(f"unknown action {fields[4]!r}", lineno)

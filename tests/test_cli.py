@@ -1,7 +1,10 @@
+import argparse
+import ast
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -16,12 +19,14 @@ from dtnmetrics import (
     parse_one_report,
     write_common_format,
 )
+from dtnmetrics import rwp_gen
 from dtnmetrics.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     InputError,
     _window_width,
+    build_parser,
     build_report,
     format_reports,
     main,
@@ -267,6 +272,26 @@ class TestGenerateCommand:
         rc = main(["generate", "--nodes", "1", "--duration", "100"])
         assert rc == EXIT_USAGE
 
+    def test_flags_are_the_rwp_params_fields(self, monkeypatch, capsys):
+        # RwpParams holds the defaults: one flag per field, in field order,
+        # and no flag with a default of its own
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        names = [f.name for f in fields(rwp_gen.RwpParams)]
+        flags = [a for a in sub.choices["generate"]._actions if a.dest in names]
+        assert [a.dest for a in flags] == names
+        assert [a.default for a in flags] == [None] * len(names)
+        seen = []
+
+        def generate(params):
+            seen.append(params)
+            return ContactTrace.from_events([ContactEvent(0, 1, 0, 1)])
+
+        monkeypatch.setattr(rwp_gen, "generate", generate)
+        assert main(["generate", "--nodes", "4", "--duration", "50"]) == EXIT_OK
+        assert main(["generate", *self.GEN_FLAGS]) == EXIT_OK
+        assert seen == [rwp_gen.RwpParams(4, 50.0),
+                        rwp_gen.RwpParams(6, 300.0, 150.0, 400.0, 400.0, 1.0, 3.0, 10.0, 7, 0.5)]
+
 
 class TestBuildReport:
     def test_library_and_cli_agree(self, six_node_trace):
@@ -335,6 +360,29 @@ class TestExitCodes:
         path.write_bytes(b"\xff\xfe0 1 2 3 1 0\n")
         assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["convert", "--from", "one", "--to", "common"],
+                                         ["analyze", "--format", "one"]])
+    def test_one_down_before_its_up_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "reversed.one"
+        path.write_text("10 CONN 1 2 up\n5 CONN 1 2 down\n")
+        assert main([*command, "--input", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "line 2: down for pair (1, 2) at 5.0 before its up at 10.0" in err
+
+    def test_window_bound_counts_the_windows_allocated(self, capsys, tmp_path):
+        # a span of 56,568.5 s holds 56,569 one-second windows, and
+        # 2 x 56,569^2 is over the bound though 2 x 56,568.5^2 is not
+        path = tmp_path / "two.txt"
+        path.write_text("0 1 0 10 1 0\n")
+        argv = ["analyze", "--input", str(path), "--tmin", "0", "--tmax", "56568.5"]
+        assert main([*argv, "--window", "1"]) == EXIT_USAGE
+        assert "too fine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "matrix"])
+    def test_window_too_fine_to_count_is_usage_error(self, capsys, six_node_file, command):
+        assert main([command, "--input", six_node_file, "--window", "5e-324"]) == EXIT_USAGE
+        assert "too fine" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--speed-max", "inf"], ["--tick", "inf"]])
     def test_bad_generate_parameter_is_usage_error(self, capsys, flag):
@@ -416,6 +464,18 @@ class TestImportHygiene:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+    def test_modules_import_no_private_names_from_each_other(self):
+        # a name with a leading underscore belongs to its module alone
+        package = Path(dtnmetrics.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                inside = isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("dtnmetrics"))
+                found += [f"{path.name}: from {'.' * node.level}{node.module} import {a.name}"
+                          for a in (node.names if inside else ()) if a.name.startswith("_")]
+        assert found == []
 
 
 class TestColumnarTrace:

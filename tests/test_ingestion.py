@@ -144,6 +144,24 @@ class TestParseOneReport:
         with pytest.raises(ParseError, match="no open up"):
             parse_one_report("5 CONN 0 1 down")
 
+    @pytest.mark.parametrize("parse", [parse_one_report, oracles.parse_one_report_lines])
+    def test_down_before_its_up_rejected(self, parse):
+        text = "1 MSG 0 1 up\n10 CONN 1 2 up\n3 CONN 3 4 up\n5 CONN 2 1 down\n4 CONN 3 4 down"
+        warnings = []
+        with pytest.raises(ParseError) as exc:
+            parse(text, warnings)
+        assert exc.value.line == 4
+        assert str(exc.value) == "line 4: down for pair (1, 2) at 5.0 before its up at 10.0"
+        assert [w.line for w in warnings] == [1]
+        # FIFO: the second down closes the second up, which is the later one
+        with pytest.raises(ParseError, match="line 4: down for pair \\(0, 1\\) at 2.0 before"):
+            parse("1 CONN 0 1 up\n3 CONN 0 1 up\n1 CONN 0 1 down\n2 CONN 1 0 down")
+        # the first error by line wins, a down with no open up or a reversed one
+        with pytest.raises(ParseError, match="line 2: down for pair \\(5, 6\\) with no"):
+            parse("9 CONN 0 1 up\n0 CONN 5 6 down\n1 CONN 0 1 down")
+        with pytest.raises(ParseError, match="line 2: down for pair \\(0, 1\\) at 1.0"):
+            parse("9 CONN 0 1 up\n1 CONN 0 1 down\n0 CONN 5 6 down")
+
     def test_non_conn_rows_skipped_with_warning(self):
         warnings = []
         trace = parse_one_report(
@@ -456,15 +474,23 @@ def _common_row(draw, clean, state):
 
 
 def _one_row(draw, clean, state):
+    """A ONE row. A pair's downs follow its open ups; in a clean text they
+    are timed no earlier than the up they close, elsewhere a down may come
+    with no open up (odds 1 in 8) or be timed before its up."""
     time, op, a, b, action = draw(_fields([_TIMES, _OPS, _ONE_IDS, _ONE_IDS, _ACTIONS], clean))
     if clean:
         a, b = draw(st.lists(st.sampled_from(_ONE_IDS[0]), min_size=2, max_size=2,
                              unique_by=_one_id))
-        pair = frozenset(map(_one_id, (a, b)))
-        if op.upper() == "CONN":
-            if not state.get(pair):
-                action = "up" if action.islower() else "UP"
-            state[pair] = state.get(pair, 0) + (1 if action.lower() == "up" else -1)
+    if op.upper() == "CONN" and {a, b} <= set(_ONE_IDS[0]) and _one_id(a) != _one_id(b):
+        ups = state.setdefault(frozenset(map(_one_id, (a, b))), [])
+        if not ups and (clean or draw(st.integers(0, 7))):
+            action = "up" if action.islower() else "UP"
+        if action.lower() == "up":
+            ups.append(time)
+        elif action.lower() == "down" and ups:
+            opened = ups.pop(0)
+            if clean:
+                time = max(time, opened, key=float)
     return [time, op, a, b, action]
 
 

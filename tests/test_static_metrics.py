@@ -12,6 +12,7 @@ from dtnmetrics import (
     aggregate,
     betweenness_centrality,
     betweenness_centrality_all,
+    clip_to_period,
     closeness_centrality,
     closeness_centrality_all,
     degree,
@@ -20,6 +21,7 @@ from dtnmetrics import (
     static_average_distance,
     static_diameter,
 )
+from dtnmetrics import temporal_metrics
 
 from . import oracles
 from .conftest import star_trace
@@ -43,7 +45,7 @@ class TestAggregate:
         trace = ContactTrace.from_events(
             [ContactEvent(0, 1, 0, 1), ContactEvent(2, 3, 50, 60)]
         )
-        g = aggregate(trace, AnalysisPeriod(40, 70))
+        g = aggregate(clip_to_period(trace, AnalysisPeriod(40, 70)))
         assert g.edges == frozenset({(2, 3)})
 
     def test_isolated_known_nodes_kept(self):
@@ -223,9 +225,7 @@ class TestMatchesNetworkx:
 
     @pytest.mark.parametrize("budget", [1, 7, 50])
     def test_hop_matrix_in_small_blocks(self, monkeypatch, budget):
-        import dtnmetrics.static_metrics as sm
-
-        monkeypatch.setattr(sm, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(temporal_metrics, "_BLOCK_ELEMENTS", budget)
         rnd = random.Random(13)
         for _ in range(40):
             assert_matches_networkx(random_graph(rnd))

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtnmetrics import (
     AnalysisPeriod,
@@ -7,6 +10,7 @@ from dtnmetrics import (
     WindowConfig,
     validate_trace,
 )
+from dtnmetrics.trace_model import group_cumsum, groups
 
 
 class TestContactEvent:
@@ -150,3 +154,37 @@ class TestValidateTrace:
         assert validate_trace(trace) == []
         resorted = sorted(trace.events, key=ContactEvent.sort_key)
         assert tuple(resorted) == trace.events
+
+
+@st.composite
+def _columns(draw):
+    """A key, up to two tie columns and a value column of one length; few
+    distinct values, so that keys and ties repeat."""
+    n = draw(st.integers(0, 25))
+    column = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    key, *ties = (draw(column) for _ in range(draw(st.integers(1, 3))))
+    values = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    return key, ties, values
+
+
+class TestGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(_columns())
+    def test_match_a_sort_and_a_running_sum_per_group(self, drawn):
+        key, ties, values = drawn
+        order, first = groups(np.array(key, np.intp), *(np.array(t, np.intp) for t in ties))
+        # np.lexsort reads the last tie first; equal rows keep their order
+        want = sorted(range(len(key)), key=lambda r: (key[r], *(t[r] for t in ties[::-1]), r))
+        assert order.tolist() == want
+        assert first.tolist() == [k == 0 or key[want[k]] != key[want[k - 1]]
+                                  for k in range(len(want))]
+        running, sums = {}, []
+        for r in want:
+            running[key[r]] = running.get(key[r], 0) + values[r]
+            sums.append(running[key[r]])
+        assert group_cumsum(np.array(values, np.int64)[order], first).tolist() == sums
+
+    def test_empty_input(self):
+        order, first = groups(np.array([], np.intp), np.array([], float))
+        assert order.tolist() == [] and first.tolist() == []
+        assert group_cumsum(np.array([], np.int64), first).tolist() == []

@@ -10,6 +10,7 @@ from dtnmetrics import (
     WindowConfig,
     average_meeting_time,
     build_snapshots,
+    clip_to_period,
     pair_aggregates,
     recommend_window,
     temporal_betweenness_all,
@@ -40,7 +41,7 @@ class TestPairAggregates:
         trace = ContactTrace.from_events(
             [ContactEvent(0, 1, 0, 10), ContactEvent(0, 1, 100, 110)]
         )
-        aggs = pair_aggregates(trace, AnalysisPeriod(50, 200))
+        aggs = pair_aggregates(clip_to_period(trace, AnalysisPeriod(50, 200)))
         assert aggs[0].occurrence_count == 1
 
 
@@ -94,6 +95,10 @@ class TestWindowCount:
     def test_non_finite_width_rejected(self, w):
         with pytest.raises(ValueError, match="finite"):
             window_count(AnalysisPeriod(0, 10), w)
+
+    def test_width_whose_window_count_is_not_finite_rejected(self):
+        with pytest.raises(ValueError, match="too fine"):
+            window_count(AnalysisPeriod(0, 100), 5e-324)
 
 
 class TestBuildSnapshots:
