@@ -190,16 +190,13 @@ def _parse_period_flag(value: str) -> tuple[float, float]:
 
 
 def _resolve_periods(args, trace: ContactTrace) -> list[AnalysisPeriod]:
-    periods = []
     if getattr(args, "period", None):
-        for p in args.period:
-            lo, hi = _parse_period_flag(p)
-            periods.append(_make_period(lo, hi))
-    else:
-        lo = args.tmin if args.tmin is not None else trace.span_min
-        hi = args.tmax if args.tmax is not None else trace.span_max
-        periods.append(_make_period(lo, hi))
-    return periods
+        if args.tmin is not None or args.tmax is not None:
+            raise InputError("--period cannot be combined with --tmin or --tmax")
+        return [_make_period(*_parse_period_flag(p)) for p in args.period]
+    lo = args.tmin if args.tmin is not None else trace.span_min
+    hi = args.tmax if args.tmax is not None else trace.span_max
+    return [_make_period(lo, hi)]
 
 
 def _make_period(lo: float, hi: float) -> AnalysisPeriod:
@@ -237,7 +234,7 @@ def cmd_window(args) -> int:
     avg = windowing.average_meeting_time(aggs)
     rec = windowing.recommend_window(aggs)
     count = windowing.window_count(period, rec)
-    print(f"avg={avg:.2f} recommended={rec:g} windows={count}")
+    _write_output(f"avg={avg:.2f} recommended={rec:g} windows={count}\n", args.output)
     return EXIT_OK
 
 

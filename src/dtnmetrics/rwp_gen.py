@@ -55,6 +55,9 @@ _CHUNK_ELEMENTS = 1 << 19
 
 @dataclass(frozen=True)
 class RwpParams:
+    """Random-waypoint settings: metres, seconds and m/s; the one home of
+    the defaults."""
+
     node_count: int
     duration: float
     range: float = 100.0

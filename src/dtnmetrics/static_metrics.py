@@ -5,10 +5,13 @@ time order and overestimates connectivity; these are the comparison
 columns reported next to the temporal metrics.
 
 The aggregated graph is the temporal graph seen through one window over
-the whole period, a one-window :class:`SnapshotSequence`. Its hop matrix
-(``temporal_metrics.hop_matrix``, -1 for unreachable pairs) gives the
-distances and closeness; its temporal betweenness sweep is, on one window,
-Brandes' algorithm. Callers clip the trace to a period before aggregating.
+the whole period: :func:`aggregate` takes the trace's distinct pairs as the
+contacts of a one-window :class:`SnapshotSequence`, and every metric reads
+its columns. Its hop matrix (``temporal_metrics.hop_matrix``, -1 for
+unreachable pairs) gives the distances and closeness; its temporal
+betweenness sweep is, on one window, Brandes' algorithm. A self-contact
+row stays an edge u -> u, on no shortest path and counted once in degree.
+Callers clip the trace to a period before aggregating.
 """
 
 from __future__ import annotations
@@ -19,42 +22,31 @@ from functools import cached_property
 import numpy as np
 
 from .temporal_metrics import CentralityScore, hop_matrix, temporal_betweenness_all
-from .trace_model import ContactTrace, groups
+from .trace_model import ContactTrace, column_of
 from .windowing import SnapshotSequence
 
 
 @dataclass(frozen=True)
 class AggregatedGraph:
-    """Undirected simple graph: an edge per pair with >= 1 contact."""
+    """Undirected simple graph, an edge per pair with >= 1 contact, viewed
+    as ``window``: one window whose contacts are the distinct pairs."""
 
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
+    window: SnapshotSequence
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.window.nodes)
 
     @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """The sorted nodes, and the two end columns of the edges as
-        indices into them."""
-        nodes = tuple(sorted(self.nodes))
-        column = dict(zip(nodes, range(len(nodes)))).__getitem__
-        ends = tuple(zip(*self.edges)) or ((), ())
-        a, b = (np.fromiter(map(column, end), np.intp, len(self.edges)) for end in ends)
-        return nodes, a, b
+    def nodes(self) -> frozenset[int]:
+        return frozenset(self.window.nodes)
 
     @cached_property
-    def window(self) -> SnapshotSequence:
-        """The graph as one window over the sorted nodes; self-loops are
-        dropped, since a self-loop is on no shortest path."""
-        nodes, a, b = self._columns
-        loop = a == b
-        lo, hi = np.minimum(a, b)[~loop], np.maximum(a, b)[~loop]
-        order, first = groups(lo * len(nodes) + hi)
-        rows = order[first]
-        contacts = np.stack([np.zeros(len(rows), np.intp), lo[rows], hi[rows]], axis=1)
-        return SnapshotSequence(1.0, 1, contacts, nodes)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The distinct pairs in node ids."""
+        ids = self.window.nodes.__getitem__
+        _, a, b = self.window.contacts.T.tolist()
+        return frozenset(zip(map(ids, a), map(ids, b)))
 
     @cached_property
     def hops(self) -> np.ndarray:
@@ -64,9 +56,10 @@ class AggregatedGraph:
 
 def aggregate(trace: ContactTrace) -> AggregatedGraph:
     """Collapse all contacts of the trace into one static graph."""
-    ids = trace.labels.__getitem__
-    edges = frozenset(zip(map(ids, trace.a.tolist()), map(ids, trace.b.tolist())))
-    return AggregatedGraph(trace.nodes, edges)
+    order, first = trace._by_pair()
+    rows = order[first]
+    contacts = np.stack([np.zeros(len(rows), np.intp), trace.a[rows], trace.b[rows]], axis=1)
+    return AggregatedGraph(SnapshotSequence(1.0, 1, contacts, trace.labels))
 
 
 def static_average_distance(g: AggregatedGraph) -> float:
@@ -76,7 +69,7 @@ def static_average_distance(g: AggregatedGraph) -> float:
     day-slice traces are often disconnected and would otherwise have no
     finite mean.
     """
-    if not g.edges:
+    if not len(g.window.contacts):
         raise ValueError("static average distance needs at least one edge")
     reached = g.hops[g.hops > 0]
     if reached.size == 0:
@@ -86,9 +79,9 @@ def static_average_distance(g: AggregatedGraph) -> float:
 
 def degree(g: AggregatedGraph, i: int) -> int:
     """Raw link count of node i."""
-    if i not in g.nodes:
-        raise KeyError(f"unknown node id {i}")
-    return sum(1 for e in g.edges if i in e)
+    c = column_of(g.window.nodes, i)
+    _, a, b = g.window.contacts.T
+    return int(np.count_nonzero((a == c) | (b == c)))
 
 
 def degree_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
@@ -102,19 +95,18 @@ def closeness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     """Normalized closeness: (r-1)/sum(d) scaled by (r-1)/(N-1) where r is
     the size of i's component, so disconnected graphs stay within [0, 1].
     Equals (N-1)/sum(d) on connected graphs; isolated nodes score 0."""
-    if i not in g.nodes:
-        raise KeyError(f"unknown node id {i}")
-    return closeness_centrality_all(g)[g.window.nodes.index(i)]
+    c = column_of(g.window.nodes, i)
+    return closeness_centrality_all(g)[c]
 
 
 def betweenness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     """Ordered-pair-normalized shortest-path betweenness."""
-    if i not in g.nodes:
-        raise KeyError(f"unknown node id {i}")
-    return betweenness_centrality_all(g)[g.window.nodes.index(i)]
+    c = column_of(g.window.nodes, i)
+    return betweenness_centrality_all(g)[c]
 
 
 def betweenness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
+    """betweenness_centrality of every node, in ascending node id."""
     if g.n < 3:
         raise ValueError("betweenness centrality needs at least 3 nodes")
     return temporal_betweenness_all(g.window)
@@ -124,12 +116,13 @@ def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     """degree_centrality of every node in one pass (a self-loop counts once)."""
     if g.n < 2:
         raise ValueError("degree centrality needs at least 2 nodes")
-    nodes, a, b = g._columns
-    links = np.bincount(np.concatenate([a, b[a != b]]), minlength=len(nodes)).tolist()
-    return [CentralityScore(i, k / (g.n - 1)) for i, k in zip(nodes, links)]
+    _, a, b = g.window.contacts.T
+    links = np.bincount(np.concatenate([a, b[a != b]]), minlength=g.n).tolist()
+    return [CentralityScore(i, k / (g.n - 1)) for i, k in zip(g.window.nodes, links)]
 
 
 def closeness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
+    """closeness_centrality of every node, in ascending node id."""
     reached = g.hops >= 0
     sizes = reached.sum(axis=1).tolist()
     totals = np.where(reached, g.hops, 0).sum(axis=1).tolist()
@@ -141,6 +134,6 @@ def closeness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
 
 def static_diameter(g: AggregatedGraph) -> int:
     """Maximum finite shortest-path length over pairs."""
-    if not g.edges:
+    if not len(g.window.contacts):
         raise ValueError("static diameter needs at least one edge")
     return int(g.hops.max())

@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig
+from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of
 from .windowing import SnapshotSequence, build_snapshots
 
 #: Matrix export encoding for temporally disconnected pairs.
@@ -66,6 +66,8 @@ _NO_HOPS = np.iinfo(np.int64).max // 2  # hop count of an unreached state
 
 @dataclass(frozen=True)
 class CentralityScore:
+    """One node id's score under some centrality."""
+
     node: int
     value: float
 
@@ -95,10 +97,7 @@ class TemporalDistanceMatrix:
         return len(self.labels)
 
     def index_of(self, node: int) -> int:
-        try:
-            return self.labels.index(node)
-        except ValueError:
-            raise KeyError(f"unknown node id {node}") from None
+        return column_of(self.labels, node)
 
     def distance(self, i: int, j: int) -> Optional[int]:
         """Window-hop distance between original ids, None if unreachable."""
@@ -114,11 +113,6 @@ class TemporalDistanceMatrix:
             suffix = "]]" if r == self.n - 1 else "],"
             lines.append(prefix + body + suffix)
         return "\n".join(lines)
-
-
-def _check_node(snapshots: SnapshotSequence, node: int) -> None:
-    if node not in snapshots.nodes:
-        raise KeyError(f"unknown node id {node}")
 
 
 def _scan_schedule(snapshots: SnapshotSequence, src: np.ndarray, dst: np.ndarray):
@@ -165,9 +159,8 @@ def temporal_distance_paper(
     Returns 0 for i == j and for pairs first co-occurring in the scan's
     start window; None when no forward occurrence chain reaches j.
     """
-    _check_node(snapshots, i)
-    _check_node(snapshots, j)
-    src, dst = np.array([snapshots.nodes.index(i)]), np.array([snapshots.nodes.index(j)])
+    src = np.array([column_of(snapshots.nodes, i)])
+    dst = np.array([column_of(snapshots.nodes, j)])
     d = int(_pair_distances(snapshots, src, dst)[0])
     return None if d == UNREACHABLE_SENTINEL else d
 
@@ -220,20 +213,22 @@ def temporal_closeness(
     Unreachable pairs contribute nothing to the sum (they stay in no
     denominator term either; the normalization is W(N-1) regardless).
     """
-    n = matrix.n
-    if n < 2:
-        raise ValueError("temporal closeness needs at least 2 nodes")
-    if window_count < 1:
-        raise ValueError("window count must be >= 1")
-    row = matrix.entries[matrix.index_of(i)]
-    total = int(row[row > 0].sum())
-    return CentralityScore(i, total / (window_count * (n - 1)))
+    return temporal_closeness_all(matrix, window_count)[matrix.index_of(i)]
 
 
 def temporal_closeness_all(
     matrix: TemporalDistanceMatrix, window_count: int
 ) -> list[CentralityScore]:
-    return [temporal_closeness(matrix, window_count, i) for i in matrix.labels]
+    """temporal_closeness of every node, in label order."""
+    n = matrix.n
+    if n < 2:
+        raise ValueError("temporal closeness needs at least 2 nodes")
+    if window_count < 1:
+        raise ValueError("window count must be >= 1")
+    e = matrix.entries
+    totals = np.where(e > 0, e, 0).sum(axis=1).tolist()
+    norm = window_count * (n - 1)
+    return [CentralityScore(i, total / norm) for i, total in zip(matrix.labels, totals)]
 
 
 def temporal_distance_exact(
@@ -253,12 +248,9 @@ def temporal_distance_exact(
     """
     if snapshots is None:
         snapshots = build_snapshots(trace, period, cfg)
-    _check_node(snapshots, i)
-    _check_node(snapshots, j)
-    if i == j:
+    a, b = column_of(snapshots.nodes, i), column_of(snapshots.nodes, j)
+    if a == b:
         return 0
-    labels = snapshots.nodes
-    a, b = labels.index(i), labels.index(j)
     W = snapshots.window_count
     best: Optional[int] = None
     for _, s, hits, _ in _scan_schedule(snapshots, np.array([a]), np.array([b])):
@@ -301,8 +293,8 @@ def rank_nodes(scores: list[CentralityScore]) -> list[CentralityScore]:
 
 def temporal_betweenness(snapshots: SnapshotSequence, i: int) -> CentralityScore:
     """Temporal betweenness of one node (see temporal_betweenness_all)."""
-    _check_node(snapshots, i)
-    return temporal_betweenness_all(snapshots)[snapshots.nodes.index(i)]
+    c = column_of(snapshots.nodes, i)
+    return temporal_betweenness_all(snapshots)[c]
 
 
 def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScore]:

@@ -4,7 +4,8 @@ A :class:`ContactTrace` is a contact sequence held as columns: ``labels``,
 the ascending node ids (isolated nodes included), and per contact row k
 the intp columns ``a[k] < b[k]`` indexing ``labels`` and the float64
 columns ``start[k] <= end[k]``, rows sorted by (start, end, a, b). Every
-stage reads the columns; :class:`ContactEvent` is the row view.
+stage reads the columns; :class:`ContactEvent` is the row view, and
+:func:`column_of` the one lookup from a node id to its column.
 
 Every stage that groups rows (by node pair, or by window and pair) does it
 with :func:`groups`, one stable sort and a mask of each group's first row,
@@ -132,6 +133,14 @@ class ContactTrace:
         if a > b:
             a, b = b, a
         return tuple(ev for ev in self.events if ev.a == a and ev.b == b)
+
+
+def column_of(labels: tuple[int, ...], node: int) -> int:
+    """The column of node id ``node`` in ``labels``; KeyError if absent."""
+    try:
+        return labels.index(node)
+    except ValueError:
+        raise KeyError(f"unknown node id {node}") from None
 
 
 def groups(key: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -322,6 +322,14 @@ def static_betweenness(nodes, edge_list):
     return {v: score[v] / ((n - 1) * (n - 2)) for v in nodes}
 
 
+def static_edges(trace):
+    """The distinct id pairs the trace's contacts join, one event at a time."""
+    edges = set()
+    for ev in trace.events:
+        edges.add(ev.pair)
+    return frozenset(edges)
+
+
 _CHUNK_TICKS = 20000  # bounds position-buffer memory for long runs
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import ExitStack
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -12,9 +13,11 @@ import pytest
 
 import dtnmetrics
 from dtnmetrics import (
+    AggregatedGraph,
     AnalysisPeriod,
     ContactEvent,
     ContactTrace,
+    SnapshotSequence,
     parse_common_format,
     parse_one_report,
     write_common_format,
@@ -57,6 +60,12 @@ class TestWindowCommand:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["window", "--input", "/no/such/file"]) == EXIT_USAGE
+
+    def test_output_file(self, capsys, tmp_path, six_node_file):
+        out = tmp_path / "window.txt"
+        assert main(["window", "--input", six_node_file, "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith("avg=") and out.read_text().count("\n") == 1
 
 
 class TestAnalyzeCommand:
@@ -123,6 +132,13 @@ class TestAnalyzeCommand:
     def test_empty_period_is_usage_error(self, capsys, six_node_file):
         rc = main(["analyze", "--input", six_node_file, "--period", "2000:3000"])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--tmin", "--tmax"])
+    def test_period_with_tmin_or_tmax_is_usage_error(self, capsys, six_node_file, flag):
+        rc = main(["analyze", "--input", six_node_file, flag, "100", "--period", "0:300"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--period" in err and flag in err
 
     def test_one_format_input(self, capsys, one_report_file):
         rc = main(
@@ -477,13 +493,23 @@ class TestImportHygiene:
                           for a in (node.names if inside else ()) if a.name.startswith("_")]
         assert found == []
 
+    def test_every_public_name_has_its_own_docstring(self):
+        # constants are documented where they are defined; a dataclass with
+        # no docstring gets its signature as __doc__
+        missing = []
+        for name in dtnmetrics.__all__:
+            obj = getattr(dtnmetrics, name)
+            doc = vars(obj).get("__doc__") if isinstance(obj, type) else obj.__doc__
+            if callable(obj) and (not doc or doc.startswith(f"{name}(")):
+                missing.append(name)
+        assert missing == []
+
 
 class TestColumnarTrace:
-    def test_commands_build_no_contact_events(self, tmp_path, six_node_file):
-        # every command reads the trace's columns; ContactEvent is only the
-        # row view, so no CLI path may build one
+    @staticmethod
+    def commands(tmp_path, six_node_file):
         one, common = str(tmp_path / "rwp.one"), str(tmp_path / "rwp.txt")
-        commands = [
+        return [
             ["generate", "--nodes", "5", "--duration", "120", "--area-width", "100",
              "--area-height", "100", "--seed", "2", "--format", "one", "--output", one],
             ["convert", "--input", one, "--from", "one", "--to", "common", "--output", common],
@@ -494,11 +520,32 @@ class TestColumnarTrace:
              "--period", "0:60", "--period", "60:120"],
             ["matrix", "--input", six_node_file, "--window", "300"],
         ]
+
+    def test_commands_build_no_contact_events(self, tmp_path, six_node_file):
+        # every command reads the trace's columns; ContactEvent is only the
+        # row view, so no CLI path may build one
         refuse = mock.Mock(side_effect=AssertionError("ContactEvent built"))
         with mock.patch.object(ContactEvent, "__post_init__", refuse):
-            for argv in commands:
+            for argv in self.commands(tmp_path, six_node_file):
                 assert main(argv) == EXIT_OK, argv
         refuse.assert_not_called()
+
+    def test_commands_build_no_view_objects(self, tmp_path, six_node_file):
+        # the static graph and the snapshots are read as columns too; their
+        # id-set views are for library callers
+        views = [(AggregatedGraph, "nodes"), (AggregatedGraph, "edges"),
+                 (SnapshotSequence, "windows")]
+        with ExitStack() as stack:
+            refused = [
+                stack.enter_context(mock.patch.object(
+                    cls, name, new_callable=mock.PropertyMock,
+                    side_effect=AssertionError(f"{cls.__name__}.{name} read")))
+                for cls, name in views
+            ]
+            for argv in self.commands(tmp_path, six_node_file):
+                assert main(argv) == EXIT_OK, argv
+        for view in refused:
+            view.assert_not_called()
 
 
 class TestWindowCountBound:

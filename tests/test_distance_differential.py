@@ -5,6 +5,8 @@ The traces here exercise the window arithmetic that the generators in
 ``conftest`` and ``test_properties`` never produce: events that straddle
 several windows, instants exactly on a window boundary (including
 ``t_max``), periods with ``t_min != 0`` and fractional window widths.
+The aggregated static graph is checked against the distinct pairs of the
+same traces with repeated rows, self-contact rows and isolated nodes added.
 Snapshot placement is also fuzzed with float-noise times against the
 scalar placement loop, with node ids beyond float64 precision, and the
 infection table against the forward build on raw occupancy arrays.
@@ -24,6 +26,7 @@ from dtnmetrics import (
     ContactTrace,
     SnapshotSequence,
     WindowConfig,
+    aggregate,
     build_snapshots,
     temporal_betweenness_all,
     temporal_distance_exact,
@@ -226,6 +229,31 @@ def test_betweenness_blocks_of_one_and_two_rows_agree(case):
             blocked = _scores(snaps)
         for node in snaps.nodes:
             assert blocked[node] == pytest.approx(whole[node], rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def static_traces(draw):
+    """A boundary trace with some rows repeated, up to three self-contact
+    rows and up to two nodes beyond the trace's that never occur."""
+    trace, period, _, _ = draw(boundary_traces())
+    n, events = len(trace.labels), list(trace.events)
+    if events:
+        events += draw(st.lists(st.sampled_from(events), max_size=4))
+    loops = draw(st.lists(st.integers(0, n + 1), max_size=3))
+    events += [ContactEvent(v, v, period.t_min, period.t_min) for v in loops]
+    idle = range(n + 2, n + 2 + draw(st.integers(0, 2)))
+    return ContactTrace.from_events(events, extra_nodes=[*trace.labels, *idle])
+
+
+@settings(max_examples=150, deadline=None)
+@given(static_traces())
+def test_static_graph_is_the_distinct_pairs(trace):
+    g = aggregate(trace)
+    assert g.edges == oracles.static_edges(trace)
+    assert g.window.nodes == trace.labels and g.window.window_count == 1
+    t, a, b = g.window.contacts.T
+    key = a * len(trace.labels) + b
+    assert not t.any() and np.all(a <= b) and np.all(np.diff(key) > 0)
 
 
 # Ids at and above 2**53, where neighbouring integers share one float64.

@@ -174,6 +174,12 @@ class TestDistancesAndDiameter:
         assert static_diameter(aggregate(star_trace(6))) == 2
 
 
+def graph_of(nodes, edges) -> AggregatedGraph:
+    """The aggregated graph of one contact per edge over ``nodes``."""
+    events = [ContactEvent(a, b, 0, 0) for a, b in edges]
+    return aggregate(ContactTrace.from_events(events, extra_nodes=nodes))
+
+
 def random_graph(rnd: random.Random) -> AggregatedGraph:
     """Sparse ids split into up to three parts with no edge between them,
     some isolated nodes and some self-loops."""
@@ -187,7 +193,7 @@ def random_graph(rnd: random.Random) -> AggregatedGraph:
         if x <= y and parts[x] == parts[y] and rnd.random() < (p if x < y else 0.1)
     }
     edges |= {(a, a) for a in rnd.sample(ids, 2)}
-    return AggregatedGraph(frozenset(ids), frozenset(edges))
+    return graph_of(ids, edges)
 
 
 def assert_matches_networkx(g: AggregatedGraph) -> None:
@@ -243,11 +249,11 @@ class TestMatchesNetworkx:
         path = frozenset((i, i + 1) for i in range(n - 1))
         ring = path | {(0, n - 1)}
         for edges in (path, ring):
-            g = AggregatedGraph(frozenset(range(n)), edges)
+            g = graph_of(range(n), edges)
             assert_matches_networkx(g)
-        assert static_diameter(AggregatedGraph(frozenset(range(n)), path)) == n - 1
+        assert static_diameter(graph_of(range(n), path)) == n - 1
 
     def test_only_self_loops(self):
-        g = AggregatedGraph(frozenset({3, 7, 9}), frozenset({(3, 3), (9, 9)}))
+        g = graph_of({3, 7, 9}, {(3, 3), (9, 9)})
         assert_matches_networkx(g)
         assert static_diameter(g) == 0

@@ -25,6 +25,7 @@ from dtnmetrics import (
     temporal_distance_matrix,
     temporal_distance_paper,
 )
+from dtnmetrics import static_metrics
 
 from . import oracles
 from .conftest import SIX_NODE_MATRIX, A, B, C, D, E, F, random_trace, star_trace
@@ -324,3 +325,38 @@ class TestRankNodes:
     def test_a_real_difference_still_ranks(self):
         scores = [CentralityScore(1, 0.5), CentralityScore(4, 0.5 + 1e-9)]
         assert [s.node for s in rank_nodes(scores)] == [4, 1]
+
+
+def single_node_calls(trace, snaps):
+    """Every entry point that takes one node id (two for distances), by name."""
+    g = static_metrics.aggregate(trace)
+    matrix = temporal_distance_matrix(snaps)
+    period, cfg = AnalysisPeriod(0, 900), WindowConfig(300)
+    return {
+        "degree": lambda x: static_metrics.degree(g, x),
+        "degree_centrality": lambda x: static_metrics.degree_centrality(g, x),
+        "closeness_centrality": lambda x: static_metrics.closeness_centrality(g, x),
+        "betweenness_centrality": lambda x: static_metrics.betweenness_centrality(g, x),
+        "paper_source": lambda x: temporal_distance_paper(snaps, x, A),
+        "paper_target": lambda x: temporal_distance_paper(snaps, A, x),
+        "exact_source": lambda x: temporal_distance_exact(trace, period, cfg, x, A),
+        "exact_target": lambda x: temporal_distance_exact(trace, period, cfg, A, x),
+        "temporal_betweenness": lambda x: temporal_betweenness(snaps, x),
+        "temporal_closeness": lambda x: temporal_closeness(matrix, snaps.window_count, x),
+        "distance_source": lambda x: matrix.distance(x, A),
+        "distance_target": lambda x: matrix.distance(A, x),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "degree", "degree_centrality", "closeness_centrality", "betweenness_centrality",
+    "paper_source", "paper_target", "exact_source", "exact_target",
+    "temporal_betweenness", "temporal_closeness", "distance_source", "distance_target",
+])
+def test_every_single_node_entry_point_rejects_an_unknown_id(
+    name, six_node_trace, six_node_snapshots
+):
+    call = single_node_calls(six_node_trace, six_node_snapshots)[name]
+    assert call(A) is not None
+    with pytest.raises(KeyError, match="unknown node id 42"):
+        call(42)
