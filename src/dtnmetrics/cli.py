@@ -72,30 +72,15 @@ def build_report(
         raise InputError("analysis needs at least 2 nodes in the period")
     snapshots = windowing.build_snapshots(clipped, period, WindowConfig(w=w))
     matrix = temporal_metrics.temporal_distance_matrix(snapshots)
-    avg_td = temporal_metrics.average_temporal_distance(matrix, w)
     tdia = temporal_metrics.temporal_diameter(matrix, w)
-    reach = temporal_metrics.reachable_pair_count(matrix)
 
     graph = static_metrics.aggregate(clipped)
-    static_dist = static_metrics.static_average_distance(graph)
-    sdia = static_metrics.static_diameter(graph)
-    top_deg = temporal_metrics.rank_nodes(static_metrics.degree_centrality_all(graph))[0]
-    top_clo = temporal_metrics.rank_nodes(
-        static_metrics.closeness_centrality_all(graph)
-    )[0]
+    degrees = static_metrics.degree_centrality_all(graph)
     if n >= 3:
-        top_bet = temporal_metrics.rank_nodes(
-            static_metrics.betweenness_centrality_all(graph)
-        )[0]
-        top_tbet = temporal_metrics.rank_nodes(
-            temporal_metrics.temporal_betweenness_all(snapshots)
-        )[0]
+        top_bet = _top_cell(static_metrics.betweenness_centrality_all(graph))
+        top_tbet = _top_cell(temporal_metrics.temporal_betweenness_all(snapshots))
     else:
-        top_bet = temporal_metrics.CentralityScore(top_deg.node, 0.0)
-        top_tbet = temporal_metrics.CentralityScore(top_deg.node, 0.0)
-    top_tclo = temporal_metrics.rank_nodes(
-        temporal_metrics.temporal_closeness_all(matrix, snapshots.window_count)
-    )[0]
+        top_bet = top_tbet = _top_cell(degrees, placeholder=True)
     return MetricsReport(
         dataset_name=dataset_name,
         t_min=period.t_min,
@@ -104,18 +89,29 @@ def build_report(
         total_connections=len(clipped),
         total_timestamps=snapshots.window_count,
         time_window=w,
-        static_distance=static_dist,
-        average_temporal_distance=avg_td,
-        diameter=sdia,
-        top_degree=(top_deg.node, top_deg.value),
-        top_betweenness=(top_bet.node, top_bet.value),
-        top_closeness=(top_clo.node, top_clo.value),
-        reachable_pairs=reach,
+        static_distance=static_metrics.static_average_distance(graph),
+        average_temporal_distance=temporal_metrics.average_temporal_distance(matrix, w),
+        diameter=static_metrics.static_diameter(graph),
+        top_degree=_top_cell(degrees),
+        top_betweenness=top_bet,
+        top_closeness=_top_cell(static_metrics.closeness_centrality_all(graph)),
+        reachable_pairs=temporal_metrics.reachable_pair_count(matrix),
         temporal_diameter_hops=tdia.hops,
         temporal_diameter_seconds=tdia.seconds,
-        top_temporal_closeness=(top_tclo.node, top_tclo.value),
-        top_temporal_betweenness=(top_tbet.node, top_tbet.value),
+        top_temporal_closeness=_top_cell(
+            temporal_metrics.temporal_closeness_all(matrix, snapshots.window_count)
+        ),
+        top_temporal_betweenness=top_tbet,
     )
+
+
+def _top_cell(
+    scores: list[temporal_metrics.CentralityScore], placeholder: bool = False
+) -> tuple[int, float]:
+    """The (node, value) report cell of the top-ranked score; a placeholder
+    cell, for a metric the period has too few nodes for, reads 0.0."""
+    top = temporal_metrics.rank_nodes(scores)[0]
+    return top.node, 0.0 if placeholder else top.value
 
 
 def _window_width(clipped: ContactTrace, period: AnalysisPeriod, w: float | None) -> float:

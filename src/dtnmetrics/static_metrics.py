@@ -7,9 +7,9 @@ columns reported next to the temporal metrics.
 The aggregated graph is the temporal graph seen through one window over
 the whole period: :func:`aggregate` takes the trace's distinct pairs as the
 contacts of a one-window :class:`SnapshotSequence`, and every metric reads
-its columns. Its hop matrix (``temporal_metrics.hop_matrix``, -1 for
-unreachable pairs) gives the distances and closeness; its temporal
-betweenness sweep is, on one window, Brandes' algorithm. A self-contact
+its columns. One ``temporal_metrics.shortest_journeys`` sweep, on one window
+Brandes' algorithm, gives the betweenness and the hop matrix (-1 for
+unreachable pairs) that the distances and closeness read. A self-contact
 row stays an edge u -> u, on no shortest path and counted once in degree.
 Callers clip the trace to a period before aggregating.
 """
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .temporal_metrics import CentralityScore, hop_matrix, temporal_betweenness_all
+from .temporal_metrics import CentralityScore, shortest_journeys
 from .trace_model import ContactTrace, column_of
 from .windowing import SnapshotSequence
 
@@ -49,9 +49,13 @@ class AggregatedGraph:
         return frozenset(zip(map(ids, a), map(ids, b)))
 
     @cached_property
+    def _journeys(self) -> tuple[list[CentralityScore], np.ndarray]:
+        return shortest_journeys(self.window)
+
+    @property
     def hops(self) -> np.ndarray:
         """N x N fewest hops between ``window.nodes``, -1 where unreachable."""
-        return hop_matrix(self.window)
+        return self._journeys[1]
 
 
 def aggregate(trace: ContactTrace) -> AggregatedGraph:
@@ -109,7 +113,7 @@ def betweenness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     """betweenness_centrality of every node, in ascending node id."""
     if g.n < 3:
         raise ValueError("betweenness centrality needs at least 3 nodes")
-    return temporal_betweenness_all(g.window)
+    return list(g._journeys[0])
 
 
 def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:

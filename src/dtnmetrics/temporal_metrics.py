@@ -42,8 +42,9 @@ pass visits windows with edges until every source reaches every
 occurring node, logging the occupants' pre-window values; the backward
 pass undoes that log window by window. Sources run in blocks of rows
 times busiest-window edges <= ``_BLOCK_ELEMENTS``; a block holds
-O(rows * N) state and an O(rows * total occupancy) log. :func:`hop_matrix`,
-the static baselines' fewest hops, relaxes one window in the same blocks.
+O(rows * N) state and an O(rows * total occupancy) log. The forward pass also
+records each node's hops where a source first reaches it: on one window (the
+static graph), :func:`shortest_journeys` gives Brandes' hops and betweenness.
 """
 
 from __future__ import annotations
@@ -298,7 +299,15 @@ def temporal_betweenness(snapshots: SnapshotSequence, i: int) -> CentralityScore
 
 
 def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScore]:
-    """Fraction of shortest edge-respecting journeys resident at each node.
+    """The scores of :func:`shortest_journeys`, for at least 3 nodes."""
+    if len(snapshots.nodes) < 3:
+        raise ValueError("temporal betweenness needs at least 3 nodes")
+    return shortest_journeys(snapshots)[0]
+
+
+def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore], np.ndarray]:
+    """Fraction of shortest edge-respecting journeys resident at each node,
+    and the N x N edge hops of those journeys, from one sweep.
 
     For every source j, every target k and every window t, a node i not
     in {j, k} earns U(i,t,j,k)/|S_jk|: the fraction of shortest journeys
@@ -307,21 +316,22 @@ def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScor
     then total edge hops); a node holds the message from its arrival
     window through its departure window. Scores are normalized by
     (N-1)(N-2) per window and averaged over all W windows, which keeps
-    them in [0, 1].
+    them in [0, 1]. ``hops[j, k]`` counts the edge hops of a shortest
+    journey from j to k, -1 if none and 0 on the diagonal.
     """
     nodes = snapshots.nodes
     n = len(nodes)
-    if n < 3:
-        raise ValueError("temporal betweenness needs at least 3 nodes")
     occ = snapshots.occupancy
     first = occ.argmax(axis=0)
     sources = np.flatnonzero(occ.any(axis=0))
     sources = sources[np.argsort(first[sources], kind="stable")]
     credit = np.zeros(n)
+    hops = np.where(np.eye(n, dtype=bool), 0, UNREACHABLE_SENTINEL)
     for block in _source_blocks(snapshots, sources):
-        credit += _block_credit(snapshots, block, first[block])
-    norm = (n - 1) * (n - 2) * snapshots.window_count
-    return [CentralityScore(node, float(c) / norm) for node, c in zip(nodes, credit)]
+        credit += _block_credit(snapshots, block, first[block], hops)
+    norm = max(1, (n - 1) * (n - 2) * snapshots.window_count)
+    scores = [CentralityScore(node, float(c) / norm) for node, c in zip(nodes, credit)]
+    return scores, hops
 
 
 def _source_blocks(snapshots: SnapshotSequence, sources: np.ndarray):
@@ -331,22 +341,6 @@ def _source_blocks(snapshots: SnapshotSequence, sources: np.ndarray):
     size = max(1, _BLOCK_ELEMENTS // widest)
     for lo in range(0, len(sources), size):
         yield sources[lo : lo + size]
-
-
-def hop_matrix(snapshots: SnapshotSequence) -> np.ndarray:
-    """N x N fewest edge hops between ``snapshots.nodes`` inside the first
-    window, -1 where unreachable; sources relax in blocks as in
-    :func:`temporal_betweenness_all`."""
-    n = len(snapshots.nodes)
-    hops = np.full((n, n), UNREACHABLE_SENTINEL)
-    np.fill_diagonal(hops, 0)
-    cols, src, _, starts = snapshots.window_graphs[0]
-    for block in _source_blocks(snapshots, np.arange(len(cols))):
-        h = np.full((len(block), len(cols)), _NO_HOPS)
-        h[np.arange(len(block)), block] = 0
-        h = _relax(h, src, starts)
-        hops[np.ix_(cols[block], cols)] = np.where(h < _NO_HOPS, h, UNREACHABLE_SENTINEL)
-    return hops
 
 
 def _relax(h: np.ndarray, src: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -360,10 +354,11 @@ def _relax(h: np.ndarray, src: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _block_credit(
-    snapshots: SnapshotSequence, sources: np.ndarray, entry: np.ndarray
+    snapshots: SnapshotSequence, sources: np.ndarray, entry: np.ndarray, hops: np.ndarray
 ) -> np.ndarray:
     """Summed dependencies of every column on the journeys of one block of
-    sources (the rows), which enter at their first occurrences ``entry``.
+    sources (the rows), which enter at their first occurrences ``entry``;
+    fills the sources' rows of ``hops`` where each state is first reached.
 
     ``h`` counts the fewest cumulative edge hops to a node, ``sigma`` the
     journeys taking them; edge u -> v is tight when ``h[u] + 1 == h[v]``.
@@ -389,6 +384,9 @@ def _block_credit(
         ht = h_pre.copy()
         ht[enter] = 0
         ht = _relax(ht, src, starts)
+        arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
+        r, c = np.nonzero(arrived)
+        hops[sources[r], cols[c]] = ht[r, c]
         tight = ht[:, src] + 1 == ht[:, dst]
         base = np.where(ht == h_pre, sigma_pre, 0.0)
         base[enter] = 1.0
@@ -398,18 +396,17 @@ def _block_credit(
             if not np.count_nonzero(summed != st):
                 break
             st = summed
-        pending -= np.count_nonzero(ht < _NO_HOPS) - np.count_nonzero(h_pre < _NO_HOPS)
+        pending -= len(r)
         h[:, cols], sigma[:, cols] = ht, st
-        log.append((t, h_pre, sigma_pre))
+        log.append((t, h_pre, sigma_pre, arrived))
     delta = np.zeros(h.shape)
     credit = np.zeros(h.shape)
     later = log[-1][0] + 1
-    for t, h_pre, sigma_pre in reversed(log):
+    for t, h_pre, sigma_pre, arrived in reversed(log):
         cols, src, dst, starts = snapshots.window_graphs[t]
         credit += (later - t - 1) * delta  # the edgeless windows between
         ht, st = h[:, cols], sigma[:, cols]
         back = ht[:, dst] + 1 == ht[:, src]  # tight edges dst -> src
-        arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
         carried = dt = delta[:, cols]
         while True:
             share = (dt + arrived) / np.maximum(st, 1.0)

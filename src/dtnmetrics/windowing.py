@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, groups
+from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of, groups
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,10 @@ class SnapshotSequence:
 
     def occurrence_windows(self, node: int) -> tuple[int, ...]:
         """Window indices in which the node occurs, ascending."""
-        if node not in self.nodes:
+        try:
+            return tuple(np.flatnonzero(self.occupancy[:, column_of(self.nodes, node)]).tolist())
+        except KeyError:
             return ()
-        column = self.occupancy[:, self.nodes.index(node)]
-        return tuple(int(k) for k in np.flatnonzero(column))
 
 
 def pair_aggregates(trace: ContactTrace) -> list[PairAggregate]:

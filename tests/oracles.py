@@ -5,7 +5,9 @@ distances are found by exhaustive enumeration of window subsequences,
 the infection table by a forward pass over the windows, edge journeys
 by breadth-first search over explicit (node, window, hops) states,
 betweenness by enumerating every shortest journey as a full state
-sequence, random-waypoint contacts by one scan step per tick, the
+sequence, the static hop matrix by relaxing every source at once over
+the one window, journey hops by a breadth-first search per window and
+source, random-waypoint contacts by one scan step per tick, the
 trace writers by sorting one Python row per line, the parsers by one
 Python step per line, and the overlap merge, the period clip and the pair
 aggregates by one ContactEvent at a time.
@@ -328,6 +330,66 @@ def static_edges(trace):
     for ev in trace.events:
         edges.add(ev.pair)
     return frozenset(edges)
+
+
+def hop_matrix(snapshots):
+    """N x N fewest edge hops between ``snapshots.nodes`` inside the first
+    window, -1 where unreachable: every occupant a source, all relaxed
+    together over the window's edges until nothing changes."""
+    n = len(snapshots.nodes)
+    hops = np.full((n, n), -1)
+    np.fill_diagonal(hops, 0)
+    cols, src, _, starts = snapshots.window_graphs[0]
+    unreached = np.iinfo(np.int64).max // 2
+    h = np.full((len(cols), len(cols)), unreached)
+    np.fill_diagonal(h, 0)
+    while True:
+        relaxed = np.minimum(h, np.minimum.reduceat(h[:, src] + 1, starts, axis=1))
+        if np.array_equal(relaxed, h):
+            break
+        h = relaxed
+    hops[np.ix_(cols, cols)] = np.where(h < unreached, h, -1)
+    return hops
+
+
+def journey_hops(snapshots):
+    """N x N edge hops of the shortest journeys (earliest arrival window,
+    then fewest hops) between ``snapshots.nodes``, -1 if none and 0 on
+    the diagonal. Per source, window by window from its first occurrence:
+    a breadth-first search over the window's edges from the reached
+    occupants at their hop counts (a heap keeps their levels in order),
+    each node's hops recorded in the window where it is first reached."""
+    nodes = snapshots.nodes
+    column = {v: c for c, v in enumerate(nodes)}
+    edges, occ = edge_sets(snapshots), occ_sets(snapshots)
+    out = np.full((len(nodes), len(nodes)), -1)
+    np.fill_diagonal(out, 0)
+    for source in nodes:
+        first = next((t for t, occupants in enumerate(occ) if source in occupants), None)
+        if first is None:
+            continue
+        hops = {source: 0}  # fewest hops of the journeys arrived so far
+        for t in range(first, len(occ)):
+            adj = {}
+            for a, b in edges[t]:
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+            queue = [(h, v) for v, h in hops.items() if v in occ[t]]
+            heapq.heapify(queue)
+            level = {}
+            while queue:
+                h, v = heapq.heappop(queue)
+                if v in level:
+                    continue
+                level[v] = h
+                for u in adj.get(v, ()):
+                    if u not in level:
+                        heapq.heappush(queue, (h + 1, u))
+            for v, h in level.items():
+                if v not in hops:
+                    out[column[source], column[v]] = h
+                hops[v] = h
+    return out
 
 
 _CHUNK_TICKS = 20000  # bounds position-buffer memory for long runs

@@ -67,6 +67,11 @@ class TestWindowCommand:
         assert capsys.readouterr().out == ""
         assert out.read_text().startswith("avg=") and out.read_text().count("\n") == 1
 
+    def test_empty_period_is_usage_error(self, capsys, six_node_file):
+        rc = main(["window", "--input", six_node_file, "--tmin", "2000", "--tmax", "3000"])
+        assert rc == EXIT_USAGE
+        assert "no contacts in period" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_six_node_report(self, capsys, six_node_file):
@@ -321,6 +326,11 @@ class TestBuildReport:
         with pytest.raises(InputError, match="no contacts"):
             build_report(six_node_trace, AnalysisPeriod(100, 200))
 
+    def test_one_node_period_rejected(self):
+        trace = ContactTrace.from_events([ContactEvent(3, 3, 0, 10)])
+        with pytest.raises(InputError, match="at least 2 nodes"):
+            build_report(trace, AnalysisPeriod(0, 10), w=5)
+
     def test_two_node_period_skips_betweenness(self, six_node_trace):
         report = build_report(six_node_trace, AnalysisPeriod(640, 670), w=30)
         assert report.total_nodes == 2
@@ -416,6 +426,11 @@ class TestExitCodes:
         rc = main(["analyze", "--input", six_node_file, "--period", "0:inf"])
         assert rc == EXIT_USAGE
         assert "finite bounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("period", [["--period", "5:3"], ["--tmin", "5", "--tmax", "5"]])
+    def test_empty_or_reversed_period_is_usage_error(self, capsys, six_node_file, period):
+        assert main(["analyze", "--input", six_node_file, *period]) == EXIT_USAGE
+        assert "analysis period requires t_min < t_max" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",

@@ -6,7 +6,9 @@ The traces here exercise the window arithmetic that the generators in
 several windows, instants exactly on a window boundary (including
 ``t_max``), periods with ``t_min != 0`` and fractional window widths.
 The aggregated static graph is checked against the distinct pairs of the
-same traces with repeated rows, self-contact rows and isolated nodes added.
+same traces with repeated rows, self-contact rows and isolated nodes added,
+and its hops against a relaxation oracle; the sweep's journey hops against
+a breadth-first search per window.
 Snapshot placement is also fuzzed with float-noise times against the
 scalar placement loop, with node ids beyond float64 precision, and the
 infection table against the forward build on raw occupancy arrays.
@@ -28,6 +30,7 @@ from dtnmetrics import (
     WindowConfig,
     aggregate,
     build_snapshots,
+    shortest_journeys,
     temporal_betweenness_all,
     temporal_distance_exact,
     temporal_distance_matrix,
@@ -231,6 +234,20 @@ def test_betweenness_blocks_of_one_and_two_rows_agree(case):
             assert blocked[node] == pytest.approx(whole[node], rel=1e-12, abs=1e-15)
 
 
+@settings(max_examples=80, deadline=None)
+@given(betweenness_traces())
+def test_journey_hops_match_the_oracle_in_any_blocks(case):
+    trace, period, cfg = case
+    snaps = build_snapshots(trace, period, cfg)
+    want = oracles.journey_hops(snaps)
+    widest = max(len(src) for _, src, _, _ in snaps.window_graphs)
+    for budget in (temporal_metrics._BLOCK_ELEMENTS, 1, 2 * widest):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", budget)
+            hops = shortest_journeys(snaps)[1]
+        assert np.array_equal(hops, want), (trace.events, budget)
+
+
 @st.composite
 def static_traces(draw):
     """A boundary trace with some rows repeated, up to three self-contact
@@ -254,6 +271,13 @@ def test_static_graph_is_the_distinct_pairs(trace):
     t, a, b = g.window.contacts.T
     key = a * len(trace.labels) + b
     assert not t.any() and np.all(a <= b) and np.all(np.diff(key) > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(static_traces())
+def test_static_hops_match_the_relaxation_oracle(trace):
+    g = aggregate(trace)
+    assert np.array_equal(g.hops, oracles.hop_matrix(g.window)), trace.events
 
 
 # Ids at and above 2**53, where neighbouring integers share one float64.

@@ -91,6 +91,11 @@ class TestDegree:
         with pytest.raises(ValueError):
             degree_centrality_all(g)
 
+    def test_single_node_score_needs_two_nodes(self):
+        g = aggregate(ContactTrace.from_events([], extra_nodes=[0]))
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            degree_centrality(g, 0)
+
 
 class TestCloseness:
     def test_star_hub(self):
@@ -168,6 +173,8 @@ class TestDistancesAndDiameter:
         trace = ContactTrace.from_events([], extra_nodes=[0, 1])
         with pytest.raises(ValueError):
             static_average_distance(aggregate(trace))
+        with pytest.raises(ValueError, match="at least one edge"):
+            static_diameter(aggregate(trace))
 
     def test_diameter(self):
         assert static_diameter(aggregate(path_trace(5))) == 4

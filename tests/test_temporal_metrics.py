@@ -155,6 +155,13 @@ class TestTemporalCloseness:
         # row A: 0, 0, 2, 2, -1, -1 -> 4 / (3*5)
         assert temporal_closeness(matrix, 3, A).value == pytest.approx(4 / 15)
 
+    def test_needs_two_nodes_and_a_window(self, six_node_snapshots):
+        one = TemporalDistanceMatrix((0,), np.zeros((1, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            temporal_closeness_all(one, 3)
+        with pytest.raises(ValueError, match="window count must be >= 1"):
+            temporal_closeness_all(temporal_distance_matrix(six_node_snapshots), 0)
+
     def test_all_variant_covers_every_node(self, six_node_snapshots):
         matrix = temporal_distance_matrix(six_node_snapshots)
         scores = temporal_closeness_all(matrix, 3)

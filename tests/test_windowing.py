@@ -141,6 +141,9 @@ class TestBuildSnapshots:
         assert six_node_snapshots.occurrence_windows(1) == (0, 2)
         assert six_node_snapshots.occurrence_windows(4) == (1,)
 
+    def test_unknown_node_occurs_nowhere(self, six_node_snapshots):
+        assert six_node_snapshots.occurrence_windows(42) == ()
+
 
 class TestContactArray:
     def test_rows_are_window_and_columns(self, six_node_snapshots):
