@@ -10,16 +10,8 @@ Two reachability semantics coexist here:
   a message moves only along actual contact edges, at most ``horizon``
   hops inside one window, forward in window order.
 
-Both run on arrays cached on the :class:`SnapshotSequence`:
-
-* ``occupancy``, W x N booleans: which node occurs in which window;
-* ``window_graphs``: per window, the occupant columns and the contacts
-  as directed edges between them, grouped for ``np.ufunc.reduceat``;
-* ``next_occurrence`` nxt, (W+1) x N: ``nxt[t, n]`` is the first window
-  >= t in which n occurs, W if none;
-* ``infection_table`` H, W x N: ``H[s, n]`` is the first window >= s
-  infected by a scan started at s in which n occurs, -1 if none, built
-  backwards in O(N * total occupancy) element operations.
+Both run on the arrays that :class:`SnapshotSequence` caches: ``occupancy``,
+``window_graphs``, ``next_occurrence`` (nxt) and ``infection_table`` (H).
 
 The one scan schedule, :func:`_scan_schedule`, follows the chain of scans
 each (source i, target j) pair is due for: the first starts at
@@ -37,14 +29,10 @@ occupants.
 
 Temporal betweenness accumulates Brandes-style dependencies on the
 time-expanded graph (Kim & Anderson, PRE 2012) in one sweep over
-``window_graphs``, sources as rows and nodes as columns. The forward
-pass visits windows with edges until every source reaches every
-occurring node, logging the occupants' pre-window values; the backward
-pass undoes that log window by window. Sources run in blocks of rows
-times busiest-window edges <= ``_BLOCK_ELEMENTS``; a block holds
-O(rows * N) state and an O(rows * total occupancy) log. The forward pass also
-records each node's hops where a source first reaches it: on one window (the
-static graph), :func:`shortest_journeys` gives Brandes' hops and betweenness.
+``window_graphs``, sources as rows and nodes as columns: per window one
+matmul with its 0/1 adjacency for each level (hops less the row's least hops
+in the component), upwards, then downwards. On one window, the static graph,
+it is Brandes' BFS.
 """
 
 from __future__ import annotations
@@ -60,7 +48,7 @@ from .windowing import SnapshotSequence, build_snapshots
 #: Matrix export encoding for temporally disconnected pairs.
 UNREACHABLE_SENTINEL = -1
 
-#: Rows times busiest-window edges per betweenness block (see above).
+#: Rows times busiest-window edges per betweenness block (see _source_blocks).
 _BLOCK_ELEMENTS = 1 << 16
 _NO_HOPS = np.iinfo(np.int64).max // 2  # hop count of an unreached state
 
@@ -271,15 +259,14 @@ def _edge_scan_hit(
     """First window in [s, stop) where an edge journey from column a reaches b."""
     reach = np.arange(len(snapshots.nodes)) == a
     for t in range(s, stop):
-        cols, src, _, starts = snapshots.window_graphs[t]
-        local = reach[cols]
-        before, hops = np.count_nonzero(local), 0
-        while before and (horizon is None or hops < horizon):
-            local |= np.logical_or.reduceat(local[src], starts)
-            after, hops = np.count_nonzero(local), hops + 1
-            if after == before:
+        cols, src, dst, _, _ = snapshots.window_graphs[t]
+        adj, local = np.zeros((len(cols), len(cols)), dtype=bool), reach[cols]
+        adj[src, dst] = True
+        for _ in range(len(cols) if horizon is None else horizon):
+            grown = local | local @ adj
+            if np.array_equal(grown, local):
                 break
-            before = after
+            local = grown
         reach[cols] = local
         if reach[b]:
             return t
@@ -336,29 +323,21 @@ def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore
 
 def _source_blocks(snapshots: SnapshotSequence, sources: np.ndarray):
     """Yield ``sources`` in order, in blocks of rows times busiest-window
-    edges at most ``_BLOCK_ELEMENTS``."""
-    widest = max(1, *(len(src) for _, src, _, _ in snapshots.window_graphs))
+    edges at most ``_BLOCK_ELEMENTS``, which bounds each rows x occupants
+    array and log entry of a window too: every occupant ends an edge."""
+    widest = max(1, *(len(src) for _, src, *_ in snapshots.window_graphs))
     size = max(1, _BLOCK_ELEMENTS // widest)
     for lo in range(0, len(sources), size):
         yield sources[lo : lo + size]
-
-
-def _relax(h: np.ndarray, src: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Hop counts ``h`` (sources x occupants) relaxed to a fixpoint over the
-    edges ``src -> dst`` of one window graph; ``h`` itself is not modified."""
-    while True:
-        relaxed = np.minimum(h, np.minimum.reduceat(h[:, src] + 1, starts, axis=1))
-        if not np.count_nonzero(relaxed != h):
-            return h
-        h = relaxed
 
 
 def _block_credit(
     snapshots: SnapshotSequence, sources: np.ndarray, entry: np.ndarray, hops: np.ndarray
 ) -> np.ndarray:
     """Summed dependencies of every column on the journeys of one block of
-    sources (the rows), which enter at their first occurrences ``entry``;
-    fills the sources' rows of ``hops`` where each state is first reached.
+    sources (the rows), which enter at their first occurrences ``entry``
+    (ascending); fills the sources' rows of ``hops`` where each state is
+    first reached.
 
     ``h`` counts the fewest cumulative edge hops to a node, ``sigma`` the
     journeys taking them; edge u -> v is tight when ``h[u] + 1 == h[v]``.
@@ -371,54 +350,65 @@ def _block_credit(
     sigma = np.zeros(h.shape)
     # (row, occurring column) states not reached yet, sources included
     pending = len(sources) * np.count_nonzero(snapshots.occupancy.any(axis=0))
+    graphs = snapshots.window_graphs
+    cut = np.flatnonzero(np.diff(entry)) + 1
+    entering = dict(zip(entry[np.r_[0, cut]].tolist(), np.split(rows, cut)))
     log = []
-    for t in range(entry.min(), snapshots.window_count):
+    for t in range(entry[0], snapshots.window_count):
         if pending == 0:
             break
-        cols, src, dst, starts = snapshots.window_graphs[t]
+        cols, src, dst, comp, firsts = graphs[t]
         if cols.size == 0:
             continue
-        h_pre, sigma_pre = h[:, cols], sigma[:, cols]
-        entering = entry == t
-        enter = (rows[entering], np.searchsorted(cols, sources[entering]))
-        ht = h_pre.copy()
-        ht[enter] = 0
-        ht = _relax(ht, src, starts)
+        adj = np.zeros((len(cols), len(cols)))
+        adj[src, dst] = 1.0
+        h_pre, sigma_pre = h.take(cols, axis=1), sigma.take(cols, axis=1)
+        seed, st = h_pre, sigma_pre.copy()
+        if t in entering:
+            enter = entering[t], np.nonzero(cols == sources[entering[t], None])[1]
+            seed = h_pre.copy()
+            seed[enter], st[enter] = 0, 1.0
+        least = np.minimum.reduceat(seed, firsts, axis=1)
+        base = least.take(comp, axis=1)
+        level = seed - base  # 0 across a component the row has not reached
+        frontier, top = level == 0, 0
+        while True:
+            push = np.where(frontier, st, 0.0) @ adj
+            lower = (push > 0.0) & (level > top + 1)
+            level[lower], st[lower] = top + 1, 0.0
+            frontier = level == top + 1
+            if not np.count_nonzero(frontier):
+                break  # a component's levels run from 0 without a gap
+            np.add(st, push, out=st, where=frontier)
+            top += 1
+        ht = level + base
         arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
         r, c = np.nonzero(arrived)
-        hops[sources[r], cols[c]] = ht[r, c]
-        tight = ht[:, src] + 1 == ht[:, dst]
-        base = np.where(ht == h_pre, sigma_pre, 0.0)
-        base[enter] = 1.0
-        st = base
-        while True:
-            summed = base + np.add.reduceat(np.where(tight, st[:, src], 0.0), starts, axis=1)
-            if not np.count_nonzero(summed != st):
-                break
-            st = summed
-        pending -= len(r)
+        if len(r):
+            hops[sources[r], cols[c]] = ht[r, c]
+            pending -= len(r)
         h[:, cols], sigma[:, cols] = ht, st
-        log.append((t, h_pre, sigma_pre, arrived))
-    delta = np.zeros(h.shape)
-    credit = np.zeros(h.shape)
-    later = log[-1][0] + 1
-    for t, h_pre, sigma_pre, arrived in reversed(log):
-        cols, src, dst, starts = snapshots.window_graphs[t]
-        credit += (later - t - 1) * delta  # the edgeless windows between
-        ht, st = h[:, cols], sigma[:, cols]
-        back = ht[:, dst] + 1 == ht[:, src]  # tight edges dst -> src
-        carried = dt = delta[:, cols]
-        while True:
-            share = (dt + arrived) / np.maximum(st, 1.0)
-            pushed = np.add.reduceat(np.where(back, share[:, src], 0.0), starts, axis=1)
-            summed = carried + st * pushed
-            if not np.count_nonzero(summed != dt):
-                break
-            dt = summed
+        log.append((t, top, least, h_pre, sigma_pre, arrived))
+    delta, credit, later = np.zeros(h.shape), np.zeros(h.shape), log[-1][0] + 1
+    for t, top, least, h_pre, sigma_pre, arrived in reversed(log):
+        cols, src, dst, comp, _ = graphs[t]
+        if later > t + 1:
+            credit += (later - t - 1) * delta  # the edgeless windows between
+        adj = np.zeros((len(cols), len(cols)))
+        adj[src, dst] = 1.0
+        ht, st = h.take(cols, axis=1), sigma.take(cols, axis=1)
+        level, norm = ht - least.take(comp, axis=1), np.maximum(st, 1.0)
+        dt = delta.take(cols, axis=1)
+        above = level == top
+        for x in range(top - 1, -1, -1):
+            pushed = np.where(above, (dt + arrived) / norm, 0.0) @ adj
+            above = level == x
+            dt = np.where(above, dt + st * pushed, dt)
+        share = (dt + arrived) / norm
         delta[:, cols] = dt
         credit += delta
-        carry = (h_pre == ht) & (h_pre < _NO_HOPS)
-        delta[:, cols] = np.where(carry, sigma_pre * share, 0.0)
+        # unreached states carry sigma 0
+        delta[:, cols] = np.where(h_pre == ht, sigma_pre * share, 0.0)
         h[:, cols], sigma[:, cols] = h_pre, sigma_pre
         later = t
     credit[rows, sources] = 0.0

@@ -75,30 +75,37 @@ class SnapshotSequence:
 
     @cached_property
     def window_graphs(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per window ``(cols, src, dst, starts)``: the occupant columns,
-        ascending; each contact as two directed edges ``src -> dst``, indices
-        into ``cols``, grouped by ``dst``; and ``starts[k]``, the first edge
-        into occupant k, for ``np.ufunc.reduceat``. The edge set is
-        symmetric, so read as ``dst -> src`` the same arrays group by tail."""
+        """Per window ``(cols, src, dst, comp, firsts)``: the occupant columns
+        grouped by connected component (components by least column, ascending
+        in each); each contact as edges ``src -> dst`` both ways, indices into
+        ``cols``; each occupant's component, from 0; and each component's first
+        occupant. One label propagation finds the components of all windows."""
         n, count = len(self.nodes), self.window_count
         t, a, b = self.contacts.T
-        # both directions of every contact, ends as keys window * n + column
-        head = np.concatenate([t * n + b, t * n + a])
-        tail = np.concatenate([t * n + a, t * n + b])
-        order = np.argsort(head, kind="stable")
-        head, tail = head[order], tail[order]
-        states = np.flatnonzero(self.occupancy)  # (window, occupant) keys
-        first_state = np.searchsorted(states, np.arange(count + 1) * n)
-        first_edge = np.searchsorted(head, np.arange(count + 1) * n)
-        src = np.searchsorted(states, tail) - first_state[tail // n]
-        dst = np.searchsorted(states, head) - first_state[head // n]
-        starts = np.searchsorted(head, states) - first_edge[states // n]
-        cols = states % n
-        bounds = zip(first_state, first_state[1:], first_edge, first_edge[1:])
-        return tuple(
-            (cols[s0:s1], src[e0:e1], dst[e0:e1], starts[s0:s1])
-            for s0, s1, e0, e1 in bounds
-        )
+        keys = np.flatnonzero(self.occupancy)  # window * n + column, one per state
+        rank = np.cumsum(self.occupancy.ravel()) - 1
+        u, v, label = rank[t * n + a], rank[t * n + b], np.arange(len(keys))
+        tail, head = np.stack([u, v], axis=1).ravel(), np.stack([v, u], axis=1).ravel()
+        while True:  # the least label of a state and its neighbours, then that label's
+            low = label.copy()
+            np.minimum.at(low, head, label[tail])
+            if np.array_equal(low[low], label):
+                break
+            label = low[low]
+        order, win = np.argsort(label, kind="stable"), keys // n  # windows stay in order
+        first = np.r_[0, np.cumsum(np.bincount(win, minlength=count))]
+        local = np.empty_like(order)
+        local[order] = np.arange(len(order)) - first[win]
+        lead = label[order] == order
+        comp = np.cumsum(lead)  # components up to and with each state
+        edges = 2 * np.cumsum(np.bincount(t, minlength=count))[:-1]
+        return tuple(zip(
+            np.split(keys[order] % n, first[1:-1]),
+            np.split(local[tail], edges),
+            np.split(local[head], edges),
+            np.split(comp - comp[first[win]], first[1:-1]),
+            np.split(np.flatnonzero(lead) - first[win[lead]], np.r_[0, comp][first[1:-1]]),
+        ))
 
     @cached_property
     def next_occurrence(self) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's code paths: occurrence-chain
 distances are found by exhaustive enumeration of window subsequences,
-the infection table by a forward pass over the windows, edge journeys
-by breadth-first search over explicit (node, window, hops) states,
+a window's components by merging node sets edge by edge, the infection
+table by a forward pass over the windows, edge journeys by breadth-first
+search over explicit (node, window, hops) states,
 betweenness by enumerating every shortest journey as a full state
 sequence, the static hop matrix by relaxing every source at once over
-the one window, journey hops by a breadth-first search per window and
-source, random-waypoint contacts by one scan step per tick, the
-trace writers by sorting one Python row per line, the parsers by one
-Python step per line, and the overlap merge, the period clip and the pair
-aggregates by one ContactEvent at a time.
+the one window, the shortest-journey sweep by relaxing each window to a
+fixpoint, journey hops by a breadth-first search per window and source,
+random-waypoint contacts by one scan step per tick, the trace writers by
+sorting one Python row per line, the parsers by one Python step per line,
+and the overlap merge, the period clip and the pair aggregates by one
+ContactEvent at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +63,17 @@ def occ_sets(snapshots):
 
 def edge_sets(snapshots):
     return [set(s.edges) for s in snapshots.windows]
+
+
+def components(edges):
+    """The connected components of an undirected edge set, as frozensets of
+    its ends, found by merging the two ends' sets edge by edge."""
+    part = {}
+    for a, b in edges:
+        merged = part.get(a, {a}) | part.get(b, {b})
+        for v in merged:
+            part[v] = merged
+    return {frozenset(p) for p in part.values()}
 
 
 def _chain_hit(occ, W, s, j):
@@ -332,6 +345,32 @@ def static_edges(trace):
     return frozenset(edges)
 
 
+def _reduceat_graph(snapshots, t):
+    """Window t as ``(cols, src, dst, starts)``: the occupant columns,
+    ascending; each contact as two directed edges ``src -> dst``, indices
+    into ``cols``, grouped by ``dst``; ``starts[k]``, the first edge into
+    occupant k, for ``np.ufunc.reduceat``."""
+    _, a, b = snapshots.contacts[snapshots.contacts[:, 0] == t].T
+    cols = np.unique(np.concatenate([a, b]))
+    head, tail = np.concatenate([b, a]), np.concatenate([a, b])
+    order = np.argsort(head, kind="stable")
+    dst, src = np.searchsorted(cols, head[order]), np.searchsorted(cols, tail[order])
+    return cols, src, dst, np.searchsorted(dst, np.arange(len(cols)))
+
+
+_UNREACHED = np.iinfo(np.int64).max // 2
+
+
+def _relax(h, src, starts):
+    """Hop counts ``h`` (rows x occupants) relaxed to a fixpoint over the
+    edges ``src -> dst`` of one window graph."""
+    while True:
+        relaxed = np.minimum(h, np.minimum.reduceat(h[:, src] + 1, starts, axis=1))
+        if np.array_equal(relaxed, h):
+            return h
+        h = relaxed
+
+
 def hop_matrix(snapshots):
     """N x N fewest edge hops between ``snapshots.nodes`` inside the first
     window, -1 where unreachable: every occupant a source, all relaxed
@@ -339,17 +378,83 @@ def hop_matrix(snapshots):
     n = len(snapshots.nodes)
     hops = np.full((n, n), -1)
     np.fill_diagonal(hops, 0)
-    cols, src, _, starts = snapshots.window_graphs[0]
-    unreached = np.iinfo(np.int64).max // 2
-    h = np.full((len(cols), len(cols)), unreached)
+    if not len(snapshots.contacts):
+        return hops
+    cols, src, _, starts = _reduceat_graph(snapshots, 0)
+    h = np.full((len(cols), len(cols)), _UNREACHED)
     np.fill_diagonal(h, 0)
-    while True:
-        relaxed = np.minimum(h, np.minimum.reduceat(h[:, src] + 1, starts, axis=1))
-        if np.array_equal(relaxed, h):
-            break
-        h = relaxed
-    hops[np.ix_(cols, cols)] = np.where(h < unreached, h, -1)
+    h = _relax(h, src, starts)
+    hops[np.ix_(cols, cols)] = np.where(h < _UNREACHED, h, -1)
     return hops
+
+
+def fixpoint_journeys(snapshots):
+    """Betweenness scores (in node order) and N x N hops of the shortest
+    journeys, by the time-expanded Brandes sweep run to a fixpoint in each
+    window: all sources as one block of rows, hop counts relaxed by
+    ``np.minimum.reduceat`` over each window's edges grouped by head until
+    nothing changes, path counts summed over tight edges and dependencies
+    pushed back over them the same way, each until nothing changes."""
+    nodes, occ, W = snapshots.nodes, snapshots.occupancy, snapshots.window_count
+    n = len(nodes)
+    first = occ.argmax(axis=0)
+    sources = np.flatnonzero(occ.any(axis=0))
+    sources = sources[np.argsort(first[sources], kind="stable")]
+    entry = first[sources]
+    hops = np.where(np.eye(n, dtype=bool), 0, -1)
+    graphs = [_reduceat_graph(snapshots, t) for t in range(W)]
+    rows = np.arange(len(sources))
+    h = np.full((len(sources), n), _UNREACHED)
+    sigma = np.zeros(h.shape)
+    log = []
+    for t in range(entry.min() if len(sources) else W, W):
+        cols, src, dst, starts = graphs[t]
+        if cols.size == 0:
+            continue
+        h_pre, sigma_pre = h[:, cols], sigma[:, cols]
+        entering = entry == t
+        enter = (rows[entering], np.searchsorted(cols, sources[entering]))
+        ht = h_pre.copy()
+        ht[enter] = 0
+        ht = _relax(ht, src, starts)
+        arrived = (h_pre == _UNREACHED) & (ht < _UNREACHED)
+        r, c = np.nonzero(arrived)
+        hops[sources[r], cols[c]] = ht[r, c]
+        tight = ht[:, src] + 1 == ht[:, dst]
+        base = np.where(ht == h_pre, sigma_pre, 0.0)
+        base[enter] = 1.0
+        st = base
+        while True:
+            summed = base + np.add.reduceat(np.where(tight, st[:, src], 0.0), starts, axis=1)
+            if np.array_equal(summed, st):
+                break
+            st = summed
+        h[:, cols], sigma[:, cols] = ht, st
+        log.append((t, h_pre, sigma_pre, arrived))
+    delta, credit = np.zeros(h.shape), np.zeros(h.shape)
+    later = log[-1][0] + 1 if log else W
+    for t, h_pre, sigma_pre, arrived in reversed(log):
+        cols, src, dst, starts = graphs[t]
+        credit += (later - t - 1) * delta  # the edgeless windows between
+        ht, st = h[:, cols], sigma[:, cols]
+        back = ht[:, dst] + 1 == ht[:, src]  # tight edges dst -> src
+        carried = dt = delta[:, cols]
+        while True:
+            share = (dt + arrived) / np.maximum(st, 1.0)
+            pushed = np.add.reduceat(np.where(back, share[:, src], 0.0), starts, axis=1)
+            summed = carried + st * pushed
+            if np.array_equal(summed, dt):
+                break
+            dt = summed
+        delta[:, cols] = dt
+        credit += delta
+        carry = (h_pre == ht) & (h_pre < _UNREACHED)
+        delta[:, cols] = np.where(carry, sigma_pre * share, 0.0)
+        h[:, cols], sigma[:, cols] = h_pre, sigma_pre
+        later = t
+    credit[rows, sources] = 0.0
+    norm = max(1, (n - 1) * (n - 2) * W)
+    return [float(c) / norm for c in credit.sum(axis=0)], hops
 
 
 def journey_hops(snapshots):

@@ -8,7 +8,8 @@ several windows, instants exactly on a window boundary (including
 The aggregated static graph is checked against the distinct pairs of the
 same traces with repeated rows, self-contact rows and isolated nodes added,
 and its hops against a relaxation oracle; the sweep's journey hops against
-a breadth-first search per window.
+a breadth-first search per window, and the whole sweep against the fixpoint
+sweep on long sequences whose windows split into several components.
 Snapshot placement is also fuzzed with float-noise times against the
 scalar placement loop, with node ids beyond float64 precision, and the
 infection table against the forward build on raw occupancy arrays.
@@ -225,7 +226,7 @@ def test_betweenness_blocks_of_one_and_two_rows_agree(case):
     trace, period, cfg = case
     snaps = build_snapshots(trace, period, cfg)
     whole = _scores(snaps)
-    widest = max(len(src) for _, src, _, _ in snaps.window_graphs)
+    widest = max(len(src) for _, src, _, _, _ in snaps.window_graphs)
     for budget in (1, 2 * widest):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", budget)
@@ -240,12 +241,51 @@ def test_journey_hops_match_the_oracle_in_any_blocks(case):
     trace, period, cfg = case
     snaps = build_snapshots(trace, period, cfg)
     want = oracles.journey_hops(snaps)
-    widest = max(len(src) for _, src, _, _ in snaps.window_graphs)
+    widest = max(len(src) for _, src, _, _, _ in snaps.window_graphs)
     for budget in (temporal_metrics._BLOCK_ELEMENTS, 1, 2 * widest):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", budget)
             hops = shortest_journeys(snaps)[1]
         assert np.array_equal(hops, want), (trace.events, budget)
+
+
+@st.composite
+def split_window_sequences(draw):
+    """A sequence of 40 to 64 windows over 6 to 14 nodes chained in one
+    fixed order. Each window keeps about 90% of the chain, cuts it into one
+    to four runs and wires each run mostly as a path along the chain. An
+    uncut window carries a message far down the chain, one hop per node, so
+    a later cut window often holds components whose occupants arrive with
+    hop counts far apart (5 to 10 hops in about half the examples)."""
+    n, W = draw(st.integers(6, 14)), draw(st.integers(40, 64))
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chain = rnd.permutation(n)
+    rows = set()
+    for t in range(W):
+        kept = chain[rnd.random(n) < 0.9]
+        runs = 1 if rnd.random() < 0.2 or len(kept) < 2 else rnd.integers(1, 5)
+        cuts = np.sort(rnd.choice(np.arange(1, len(kept)), min(runs, len(kept)) - 1, replace=False))
+        for run in np.split(kept, cuts):
+            for k in range(1, len(run)):
+                other = run[k - 1] if rnd.random() < 0.9 else run[rnd.integers(0, k)]
+                rows.add((t, min(run[k], other), max(run[k], other)))
+    contacts = np.array(sorted(rows), dtype=np.intp).reshape(-1, 3)
+    return SnapshotSequence(1.0, W, contacts, tuple(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_window_sequences(), st.sampled_from((None, 1, 2)))
+def test_level_sweep_matches_the_fixpoint_sweep(snaps, blocks):
+    want_scores, want_hops = oracles.fixpoint_journeys(snaps)
+    widest = max(len(src) for _, src, _, _, _ in snaps.window_graphs)
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks is not None:
+            mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", blocks * widest)
+        scores, hops = shortest_journeys(snaps)
+    assert np.array_equal(hops, want_hops), snaps.contacts.tolist()
+    for got, want in zip(scores, want_scores):
+        assert (got.value == 0.0) == (want == 0.0)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @st.composite
@@ -319,10 +359,12 @@ def test_placement_matches_scalar_loop_on_float_noise(case):
         occupants = {n for pair in edges for n in pair}
         assert seq.windows[t].occupants == occupants
         assert {nodes[c] for c in np.flatnonzero(seq.occupancy[t])} == occupants
-        cols, src, dst, starts = seq.window_graphs[t]
-        assert [nodes[c] for c in cols] == sorted(occupants)
+        cols, src, dst, comp, firsts = seq.window_graphs[t]
+        parts = sorted(sorted(p) for p in oracles.components(edges))
+        assert [nodes[c] for c in cols] == [v for p in parts for v in p]
         assert len(src) == len(dst) == 2 * len(edges)
         directed = {(nodes[cols[u]], nodes[cols[v]]) for u, v in zip(src, dst)}
         assert directed == edges | {(b, a) for a, b in edges}
-        assert np.all(np.diff(dst) >= 0)
-        assert starts.tolist() == np.searchsorted(dst, np.arange(len(cols))).tolist()
+        assert np.array_equal(comp[src], comp[dst])
+        assert comp.tolist() == [c for c, p in enumerate(parts) for _ in p]
+        assert firsts.tolist() == np.searchsorted(comp, np.arange(len(parts))).tolist()
