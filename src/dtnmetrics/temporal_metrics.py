@@ -10,7 +10,7 @@ Two reachability semantics coexist here:
   a message moves only along actual contact edges, at most ``horizon``
   hops inside one window, forward in window order.
 
-Both run on the arrays that :class:`SnapshotSequence` caches: ``occupancy``,
+Both run on arrays cached by :class:`SnapshotSequence`: ``occupancy``,
 ``window_graphs``, ``next_occurrence`` (nxt) and ``infection_table`` (H).
 
 The one scan schedule, :func:`_scan_schedule`, follows the chain of scans
@@ -29,10 +29,9 @@ occupants.
 
 Temporal betweenness accumulates Brandes-style dependencies on the
 time-expanded graph (Kim & Anderson, PRE 2012) in one sweep over
-``window_graphs``, sources as rows and nodes as columns: per window one
-matmul with its 0/1 adjacency for each level (hops less the row's least hops
-in the component), upwards, then downwards. On one window, the static graph,
-it is Brandes' BFS.
+``window_graphs``, sources as rows and nodes as columns, one matmul with a
+window's 0/1 adjacency per level (hops less the row's least hops in the
+component) up, then down; on one window it is Brandes' BFS.
 """
 
 from __future__ import annotations
@@ -260,14 +259,15 @@ def _edge_scan_hit(
     reach = np.arange(len(snapshots.nodes)) == a
     for t in range(s, stop):
         cols, src, dst, _, _ = snapshots.window_graphs[t]
-        adj, local = np.zeros((len(cols), len(cols)), dtype=bool), reach[cols]
-        adj[src, dst] = True
-        for _ in range(len(cols) if horizon is None else horizon):
-            grown = local | local @ adj
-            if np.array_equal(grown, local):
-                break
-            local = grown
-        reach[cols] = local
+        local = reach[cols]
+        if before := np.count_nonzero(local):
+            adj = np.zeros((len(cols), len(cols)), dtype=bool)
+            adj[src, dst] = True
+            for _ in range(len(cols) if horizon is None else horizon):
+                local = local | local @ adj
+                if before == (before := np.count_nonzero(local)):
+                    break
+            reach[cols] = local
         if reach[b]:
             return t
     return None
@@ -324,7 +324,7 @@ def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore
 def _source_blocks(snapshots: SnapshotSequence, sources: np.ndarray):
     """Yield ``sources`` in order, in blocks of rows times busiest-window
     edges at most ``_BLOCK_ELEMENTS``, which bounds each rows x occupants
-    array and log entry of a window too: every occupant ends an edge."""
+    array of a window too: every occupant ends an edge."""
     widest = max(1, *(len(src) for _, src, *_ in snapshots.window_graphs))
     size = max(1, _BLOCK_ELEMENTS // widest)
     for lo in range(0, len(sources), size):
@@ -370,7 +370,7 @@ def _block_credit(
             seed[enter], st[enter] = 0, 1.0
         least = np.minimum.reduceat(seed, firsts, axis=1)
         base = least.take(comp, axis=1)
-        level = seed - base  # 0 across a component the row has not reached
+        level = seed - base  # 0 in a component not yet reached
         frontier, top = level == 0, 0
         while True:
             push = np.where(frontier, st, 0.0) @ adj
@@ -378,7 +378,7 @@ def _block_credit(
             level[lower], st[lower] = top + 1, 0.0
             frontier = level == top + 1
             if not np.count_nonzero(frontier):
-                break  # a component's levels run from 0 without a gap
+                break  # a component's levels have no gap
             np.add(st, push, out=st, where=frontier)
             top += 1
         ht = level + base

@@ -79,30 +79,31 @@ class SnapshotSequence:
         grouped by connected component (components by least column, ascending
         in each); each contact as edges ``src -> dst`` both ways, indices into
         ``cols``; each occupant's component, from 0; and each component's first
-        occupant. One label propagation finds the components of all windows."""
+        occupant. One label propagation labels every window's components."""
         n, count = len(self.nodes), self.window_count
         t, a, b = self.contacts.T
-        keys = np.flatnonzero(self.occupancy)  # window * n + column, one per state
+        keys = np.flatnonzero(self.occupancy)  # window * n + column
         rank = np.cumsum(self.occupancy.ravel()) - 1
         u, v, label = rank[t * n + a], rank[t * n + b], np.arange(len(keys))
-        tail, head = np.stack([u, v], axis=1).ravel(), np.stack([v, u], axis=1).ravel()
-        while True:  # the least label of a state and its neighbours, then that label's
-            low = label.copy()
-            np.minimum.at(low, head, label[tail])
-            if np.array_equal(low[low], label):
+        while True:  # hook roots to neighbours' least roots, then jump
+            lu, lv = label[u], label[v]
+            if np.array_equal(lu, lv):
                 break
-            label = low[low]
+            np.minimum.at(label, lu, lv)
+            np.minimum.at(label, lv, lu)
+            while not np.array_equal(label, label[label]):
+                label = label[label]
         order, win = np.argsort(label, kind="stable"), keys // n  # windows stay in order
         first = np.r_[0, np.cumsum(np.bincount(win, minlength=count))]
         local = np.empty_like(order)
         local[order] = np.arange(len(order)) - first[win]
         lead = label[order] == order
-        comp = np.cumsum(lead)  # components up to and with each state
+        comp = np.cumsum(lead)  # components so far
         edges = 2 * np.cumsum(np.bincount(t, minlength=count))[:-1]
         return tuple(zip(
             np.split(keys[order] % n, first[1:-1]),
-            np.split(local[tail], edges),
-            np.split(local[head], edges),
+            np.split(local[np.stack([u, v], axis=1).ravel()], edges),
+            np.split(local[np.stack([v, u], axis=1).ravel()], edges),
             np.split(comp - comp[first[win]], first[1:-1]),
             np.split(np.flatnonzero(lead) - first[win[lead]], np.r_[0, comp][first[1:-1]]),
         ))
