@@ -29,9 +29,12 @@ occupants.
 
 Temporal betweenness accumulates Brandes-style dependencies on the
 time-expanded graph (Kim & Anderson, PRE 2012) in one sweep over
-``window_graphs``, sources as rows and nodes as columns, one matmul with a
-window's 0/1 adjacency per level (hops less the row's least hops in the
-component) up, then down; on one window it is Brandes' BFS.
+``window_graphs``, sources as rows and nodes as columns, every source
+seeded before it starts. Each window's 0/1 adjacency is filled from its
+contacts both ways; one matmul with it per level (hops less the row's
+least hops in the component) goes up, then down. The way down rebuilds
+each window's levels from the logged pre-window hops. On one window it is
+Brandes' BFS.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ from .windowing import SnapshotSequence, build_snapshots
 #: Matrix export encoding for temporally disconnected pairs.
 UNREACHABLE_SENTINEL = -1
 
-#: Rows times busiest-window edges per betweenness block (see _source_blocks).
+#: Rows times busiest-window directed edges per betweenness block. Every
+#: occupant ends an edge, so this bounds each window's rows x occupants
+#: arrays, but not the sweep's log, which is O(rows x logged occupancy).
 _BLOCK_ELEMENTS = 1 << 16
 _NO_HOPS = np.iinfo(np.int64).max // 2  # hop count of an unreached state
 
@@ -258,11 +263,11 @@ def _edge_scan_hit(
     """First window in [s, stop) where an edge journey from column a reaches b."""
     reach = np.arange(len(snapshots.nodes)) == a
     for t in range(s, stop):
-        cols, src, dst, _, _ = snapshots.window_graphs[t]
+        cols, u, v, _, _ = snapshots.window_graphs[t]
         local = reach[cols]
         if before := np.count_nonzero(local):
             adj = np.zeros((len(cols), len(cols)), dtype=bool)
-            adj[src, dst] = True
+            adj[u, v] = adj[v, u] = True
             for _ in range(len(cols) if horizon is None else horizon):
                 local = local | local @ adj
                 if before == (before := np.count_nonzero(local)):
@@ -314,63 +319,49 @@ def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore
     sources = sources[np.argsort(first[sources], kind="stable")]
     credit = np.zeros(n)
     hops = np.where(np.eye(n, dtype=bool), 0, UNREACHABLE_SENTINEL)
-    for block in _source_blocks(snapshots, sources):
-        credit += _block_credit(snapshots, block, first[block], hops)
+    # blocks of rows x busiest-window directed edges <= _BLOCK_ELEMENTS
+    widest = max(1, 2 * max(len(u) for _, u, *_ in snapshots.window_graphs))
+    size = max(1, _BLOCK_ELEMENTS // widest)
+    for lo in range(0, len(sources), size):
+        block = sources[lo : lo + size]
+        pending = len(block) * (len(sources) - 1)  # (row, target) states to reach
+        credit += _block_credit(snapshots, block, first[block[0]], pending, hops)
     norm = max(1, (n - 1) * (n - 2) * snapshots.window_count)
     scores = [CentralityScore(node, float(c) / norm) for node, c in zip(nodes, credit)]
     return scores, hops
 
 
-def _source_blocks(snapshots: SnapshotSequence, sources: np.ndarray):
-    """Yield ``sources`` in order, in blocks of rows times busiest-window
-    edges at most ``_BLOCK_ELEMENTS``, which bounds each rows x occupants
-    array of a window too: every occupant ends an edge."""
-    widest = max(1, *(len(src) for _, src, *_ in snapshots.window_graphs))
-    size = max(1, _BLOCK_ELEMENTS // widest)
-    for lo in range(0, len(sources), size):
-        yield sources[lo : lo + size]
-
-
 def _block_credit(
-    snapshots: SnapshotSequence, sources: np.ndarray, entry: np.ndarray, hops: np.ndarray
+    snapshots: SnapshotSequence, sources: np.ndarray, start: int, pending: int, hops: np.ndarray
 ) -> np.ndarray:
     """Summed dependencies of every column on the journeys of one block of
-    sources (the rows), which enter at their first occurrences ``entry``
-    (ascending); fills the sources' rows of ``hops`` where each state is
-    first reached.
+    sources (the rows), swept from ``start``, the first source's first
+    occurrence, to the last window or until the ``pending`` (row, target)
+    states are all reached; fills the sources' rows of ``hops`` where each
+    state is first reached.
 
     ``h`` counts the fewest cumulative edge hops to a node, ``sigma`` the
     journeys taking them; edge u -> v is tight when ``h[u] + 1 == h[v]``.
-    A carry edge joins a node's states in consecutive windows where its
-    pre-window ``h`` is finite and unchanged; where it is infinite the
-    node arrives (a source's own entry has no predecessors to credit).
+    Each source's own state is seeded (0 hops, one journey) before the
+    sweep, so it enters at its first occurrence. A carry edge joins a
+    node's states in consecutive windows where its pre-window ``h`` is
+    finite and unchanged; where it is infinite the node arrives.
     """
     rows = np.arange(len(sources))
     h = np.full((len(sources), len(snapshots.nodes)), _NO_HOPS)
     sigma = np.zeros(h.shape)
-    # (row, occurring column) states not reached yet, sources included
-    pending = len(sources) * np.count_nonzero(snapshots.occupancy.any(axis=0))
+    h[rows, sources], sigma[rows, sources] = 0, 1.0
     graphs = snapshots.window_graphs
-    cut = np.flatnonzero(np.diff(entry)) + 1
-    entering = dict(zip(entry[np.r_[0, cut]].tolist(), np.split(rows, cut)))
     log = []
-    for t in range(entry[0], snapshots.window_count):
-        if pending == 0:
-            break
-        cols, src, dst, comp, firsts = graphs[t]
+    for t in range(start, snapshots.window_count):
+        cols, u, v, comp, firsts = graphs[t]
         if cols.size == 0:
             continue
         adj = np.zeros((len(cols), len(cols)))
-        adj[src, dst] = 1.0
+        adj[u, v] = adj[v, u] = 1.0
         h_pre, sigma_pre = h.take(cols, axis=1), sigma.take(cols, axis=1)
-        seed, st = h_pre, sigma_pre.copy()
-        if t in entering:
-            enter = entering[t], np.nonzero(cols == sources[entering[t], None])[1]
-            seed = h_pre.copy()
-            seed[enter], st[enter] = 0, 1.0
-        least = np.minimum.reduceat(seed, firsts, axis=1)
-        base = least.take(comp, axis=1)
-        level = seed - base  # 0 in a component not yet reached
+        base = np.minimum.reduceat(h_pre, firsts, axis=1).take(comp, axis=1)
+        level, st = h_pre - base, sigma_pre.copy()  # level 0 in a component not yet reached
         frontier, top = level == 0, 0
         while True:
             push = np.where(frontier, st, 0.0) @ adj
@@ -384,20 +375,22 @@ def _block_credit(
         ht = level + base
         arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
         r, c = np.nonzero(arrived)
-        if len(r):
-            hops[sources[r], cols[c]] = ht[r, c]
-            pending -= len(r)
+        hops[sources[r], cols[c]] = ht[r, c]
         h[:, cols], sigma[:, cols] = ht, st
-        log.append((t, top, least, h_pre, sigma_pre, arrived))
+        log.append((t, top, h_pre, sigma_pre, arrived))
+        pending -= len(r)
+        if pending == 0:
+            break
     delta, credit, later = np.zeros(h.shape), np.zeros(h.shape), log[-1][0] + 1
-    for t, top, least, h_pre, sigma_pre, arrived in reversed(log):
-        cols, src, dst, comp, _ = graphs[t]
+    for t, top, h_pre, sigma_pre, arrived in reversed(log):
+        cols, u, v, comp, firsts = graphs[t]
         if later > t + 1:
             credit += (later - t - 1) * delta  # the edgeless windows between
         adj = np.zeros((len(cols), len(cols)))
-        adj[src, dst] = 1.0
+        adj[u, v] = adj[v, u] = 1.0
         ht, st = h.take(cols, axis=1), sigma.take(cols, axis=1)
-        level, norm = ht - least.take(comp, axis=1), np.maximum(st, 1.0)
+        base = np.minimum.reduceat(h_pre, firsts, axis=1).take(comp, axis=1)
+        level, norm = ht - base, np.maximum(st, 1.0)
         dt = delta.take(cols, axis=1)
         above = level == top
         for x in range(top - 1, -1, -1):

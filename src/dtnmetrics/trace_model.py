@@ -94,18 +94,13 @@ class ContactTrace:
         span: Optional[tuple[float, float]] = None,
     ) -> "ContactTrace":
         rows = [(ev.a, ev.b, ev.start, ev.end) for ev in events]
-        return cls._from_rows(rows, extra_nodes, span)._time_ordered()
-
-    @classmethod
-    def _from_rows(cls, rows, extra_nodes=(), span=None) -> "ContactTrace":
-        """The trace of ``(id_a, id_b, start, end)`` rows, ``id_a < id_b``, unsorted."""
         a, b, start, end = zip(*rows) if rows else ((), (), (), ())
         labels = tuple(sorted(set(a).union(b, extra_nodes)))
         column = dict(zip(labels, range(len(labels)))).__getitem__
         if span is None:
             span = (min(start), max(end)) if rows else (0.0, 0.0)
         return cls(labels, list(map(column, a)), list(map(column, b)), start, end,
-                   float(span[0]), float(span[1]))
+                   float(span[0]), float(span[1]))._time_ordered()
 
     def _time_ordered(self) -> "ContactTrace":
         """This trace with its rows sorted by (start, end, a, b)."""

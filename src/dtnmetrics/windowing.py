@@ -75,11 +75,12 @@ class SnapshotSequence:
 
     @cached_property
     def window_graphs(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per window ``(cols, src, dst, comp, firsts)``: the occupant columns
+        """Per window ``(cols, u, v, comp, firsts)``: the occupant columns
         grouped by connected component (components by least column, ascending
-        in each); each contact as edges ``src -> dst`` both ways, indices into
-        ``cols``; each occupant's component, from 0; and each component's first
-        occupant. One label propagation labels every window's components."""
+        in each); each contact once, as its endpoints ``u``, ``v`` (the
+        contact's ``col_a``, ``col_b``) indexing ``cols``; each occupant's
+        component, from 0; and each component's first occupant. One label
+        propagation labels every window's components."""
         n, count = len(self.nodes), self.window_count
         t, a, b = self.contacts.T
         keys = np.flatnonzero(self.occupancy)  # window * n + column
@@ -99,11 +100,11 @@ class SnapshotSequence:
         local[order] = np.arange(len(order)) - first[win]
         lead = label[order] == order
         comp = np.cumsum(lead)  # components so far
-        edges = 2 * np.cumsum(np.bincount(t, minlength=count))[:-1]
+        edges = np.cumsum(np.bincount(t, minlength=count))[:-1]
         return tuple(zip(
             np.split(keys[order] % n, first[1:-1]),
-            np.split(local[np.stack([u, v], axis=1).ravel()], edges),
-            np.split(local[np.stack([v, u], axis=1).ravel()], edges),
+            np.split(local[u], edges),
+            np.split(local[v], edges),
             np.split(comp - comp[first[win]], first[1:-1]),
             np.split(np.flatnonzero(lead) - first[win[lead]], np.r_[0, comp][first[1:-1]]),
         ))

@@ -9,7 +9,8 @@ The aggregated static graph is checked against the distinct pairs of the
 same traces with repeated rows, self-contact rows and isolated nodes added,
 and its hops against a relaxation oracle; the sweep's journey hops against
 a breadth-first search per window, and the whole sweep against the fixpoint
-sweep on long sequences whose windows split into several components.
+sweep on long sequences whose windows split into several components and on
+sources that enter in different windows of one block.
 Snapshot placement is also fuzzed with float-noise times against the
 scalar placement loop, with node ids beyond float64 precision, and the
 infection table against the forward build on raw occupancy arrays.
@@ -226,7 +227,7 @@ def test_betweenness_blocks_of_one_and_two_rows_agree(case):
     trace, period, cfg = case
     snaps = build_snapshots(trace, period, cfg)
     whole = _scores(snaps)
-    widest = max(len(src) for _, src, _, _, _ in snaps.window_graphs)
+    widest = 2 * max(len(u) for _, u, _, _, _ in snaps.window_graphs)
     for budget in (1, 2 * widest):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", budget)
@@ -241,7 +242,7 @@ def test_journey_hops_match_the_oracle_in_any_blocks(case):
     trace, period, cfg = case
     snaps = build_snapshots(trace, period, cfg)
     want = oracles.journey_hops(snaps)
-    widest = max(len(src) for _, src, _, _, _ in snaps.window_graphs)
+    widest = 2 * max(len(u) for _, u, _, _, _ in snaps.window_graphs)
     for budget in (temporal_metrics._BLOCK_ELEMENTS, 1, 2 * widest):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", budget)
@@ -277,7 +278,7 @@ def split_window_sequences(draw):
 @given(split_window_sequences(), st.sampled_from((None, 1, 2)))
 def test_level_sweep_matches_the_fixpoint_sweep(snaps, blocks):
     want_scores, want_hops = oracles.fixpoint_journeys(snaps)
-    widest = max(len(src) for _, src, _, _, _ in snaps.window_graphs)
+    widest = 2 * max(len(u) for _, u, _, _, _ in snaps.window_graphs)
     with pytest.MonkeyPatch.context() as mp:
         if blocks is not None:
             mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", blocks * widest)
@@ -286,6 +287,36 @@ def test_level_sweep_matches_the_fixpoint_sweep(snaps, blocks):
     for got, want in zip(scores, want_scores):
         assert (got.value == 0.0) == (want == 0.0)
         assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_sweep_with_no_target_logs_its_first_window():
+    # one occurring column, so no (row, target) state is pending from the start
+    snaps = SnapshotSequence(1.0, 1, np.array([[0, 0, 0]]), (0, 1))
+    want_scores, want_hops = oracles.fixpoint_journeys(snaps)
+    scores, hops = shortest_journeys(snaps)
+    assert [s.value for s in scores] == want_scores == [0.0, 0.0]
+    assert np.array_equal(hops, want_hops) and hops.tolist() == [[0, -1], [-1, 0]]
+
+
+# Sources 0 and 1 first occur in window 0, 2 to 4 in window 2 and 5 in
+# window 4; window 3 is empty and node 6 never occurs.
+STAGGERED = SnapshotSequence(1.0, 6, np.array(
+    [[0, 0, 1], [2, 1, 2], [2, 3, 4], [4, 2, 5], [4, 4, 5], [5, 0, 5]]), tuple(range(7)))
+
+
+@pytest.mark.parametrize("budget", [1, temporal_metrics._BLOCK_ELEMENTS])
+def test_sources_entering_in_different_windows_match_the_fixpoint_sweep(budget):
+    widest = 2 * max(len(u) for _, u, _, _, _ in STAGGERED.window_graphs)
+    rows = max(1, budget // widest)  # sources per block
+    assert rows == 1 or rows >= 6
+    want_scores, want_hops = oracles.fixpoint_journeys(STAGGERED)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(temporal_metrics, "_BLOCK_ELEMENTS", budget)
+        scores, hops = shortest_journeys(STAGGERED)
+    assert np.array_equal(hops, want_hops)
+    assert hops[0, 5] == 3 and hops[5, 0] == 1 and hops[6].tolist() == [-1] * 6 + [0]
+    assert any(want_scores)
+    assert [s.value for s in scores] == pytest.approx(want_scores, rel=1e-12, abs=0.0)
 
 
 @st.composite
@@ -359,12 +390,11 @@ def test_placement_matches_scalar_loop_on_float_noise(case):
         occupants = {n for pair in edges for n in pair}
         assert seq.windows[t].occupants == occupants
         assert {nodes[c] for c in np.flatnonzero(seq.occupancy[t])} == occupants
-        cols, src, dst, comp, firsts = seq.window_graphs[t]
+        cols, u, v, comp, firsts = seq.window_graphs[t]
         parts = sorted(sorted(p) for p in oracles.components(edges))
-        assert [nodes[c] for c in cols] == [v for p in parts for v in p]
-        assert len(src) == len(dst) == 2 * len(edges)
-        directed = {(nodes[cols[u]], nodes[cols[v]]) for u, v in zip(src, dst)}
-        assert directed == edges | {(b, a) for a, b in edges}
-        assert np.array_equal(comp[src], comp[dst])
+        assert [nodes[c] for c in cols] == [x for p in parts for x in p]
+        assert len(u) == len(v) == len(edges)
+        assert {(nodes[cols[x]], nodes[cols[y]]) for x, y in zip(u, v)} == edges
+        assert np.array_equal(comp[u], comp[v])
         assert comp.tolist() == [c for c, p in enumerate(parts) for _ in p]
         assert firsts.tolist() == np.searchsorted(comp, np.arange(len(parts))).tolist()
