@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 from . import ingestion, rwp_gen, static_metrics, temporal_metrics, windowing
 from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig
@@ -17,11 +18,14 @@ from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-# Bound on windows^2 x nodes, checked before allocation. It caps what still
-# grows with the window count: the W x N tables and the temporal betweenness
-# sweep (one step and one log entry per window). At the bound analyze took at
-# most 5.3 s and 415 MB of RSS on a 2-CPU Xeon (100 nodes x 8,000 windows of a
-# random-waypoint trace), under 1 s on 10 x 25,298 and 2 x 56,568 full windows.
+# Bound on windows^2 x nodes, checked before allocation. It bounds the W x N
+# tables, but not the temporal betweenness sweep's log of rows x occupants per
+# window. At the bound, on a 2-CPU Xeon, analyze took at most 5.3 s and 415 MB
+# of RSS on a 100-node random-waypoint trace over 8,000 windows, and under 1 s
+# on 10 x 25,298 and 2 x 56,568 full windows; but 164-168 s and 1,391 MB on a
+# 100-node path whose 98 contacts span all 8,000 windows, one more node joining
+# in the last: that node keeps the sweep going, so every window is logged, and
+# each window walks up to 98 hop levels.
 _MAX_SCAN_WORK = 64 * 10**8
 
 
@@ -317,16 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="synthesize a random-waypoint trace")
     # One flag per RwpParams field, which holds the defaults.
-    p.add_argument("--nodes", dest="node_count", type=int, required=True)
-    p.add_argument("--duration", type=float, required=True)
-    p.add_argument("--range", type=float)
-    p.add_argument("--area-width", type=float)
-    p.add_argument("--area-height", type=float)
-    p.add_argument("--speed-min", type=float)
-    p.add_argument("--speed-max", type=float)
-    p.add_argument("--pause-max", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tick", type=float)
+    hints = get_type_hints(rwp_gen.RwpParams)
+    for f in fields(rwp_gen.RwpParams):
+        flag = "--nodes" if f.name == "node_count" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=hints[f.name], required=f.default is MISSING)
     p.add_argument("--format", choices=("common", "one"), default="common")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_generate)

@@ -99,13 +99,8 @@ class TemporalDistanceMatrix:
 
     def to_text(self) -> str:
         """Row-major bracketed grid, -1 for unreachable."""
-        lines = []
-        for r, row in enumerate(self.entries):
-            body = ", ".join(str(int(v)) for v in row)
-            prefix = "[[" if r == 0 else " ["
-            suffix = "]]" if r == self.n - 1 else "],"
-            lines.append(prefix + body + suffix)
-        return "\n".join(lines)
+        rows = ("[" + ", ".join(map(str, row)) + "]" for row in self.entries.tolist())
+        return "[" + ",\n ".join(rows) + "]" if self.n else ""
 
 
 def _scan_schedule(snapshots: SnapshotSequence, src: np.ndarray, dst: np.ndarray):
@@ -320,7 +315,7 @@ def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore
     credit = np.zeros(n)
     hops = np.where(np.eye(n, dtype=bool), 0, UNREACHABLE_SENTINEL)
     # blocks of rows x busiest-window directed edges <= _BLOCK_ELEMENTS
-    widest = max(1, 2 * max(len(u) for _, u, *_ in snapshots.window_graphs))
+    widest = max(1, 2 * np.bincount(snapshots.contacts[:, 0], minlength=1).max())
     size = max(1, _BLOCK_ELEMENTS // widest)
     for lo in range(0, len(sources), size):
         block = sources[lo : lo + size]

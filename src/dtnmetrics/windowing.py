@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class SnapshotSequence:
         in each); each contact once, as its endpoints ``u``, ``v`` (the
         contact's ``col_a``, ``col_b``) indexing ``cols``; each occupant's
         component, from 0; and each component's first occupant. One label
-        propagation labels every window's components."""
+        propagation labels every window's components, and each window's arrays
+        are views of five flat arrays, sliced where the window starts in them."""
         n, count = len(self.nodes), self.window_count
         t, a, b = self.contacts.T
         keys = np.flatnonzero(self.occupancy)  # window * n + column
@@ -100,14 +101,12 @@ class SnapshotSequence:
         local[order] = np.arange(len(order)) - first[win]
         lead = label[order] == order
         comp = np.cumsum(lead)  # components so far
-        edges = np.cumsum(np.bincount(t, minlength=count))[:-1]
-        return tuple(zip(
-            np.split(keys[order] % n, first[1:-1]),
-            np.split(local[u], edges),
-            np.split(local[v], edges),
-            np.split(comp - comp[first[win]], first[1:-1]),
-            np.split(np.flatnonzero(lead) - first[win[lead]], np.r_[0, comp][first[1:-1]]),
-        ))
+        # where each window starts among the occupants, contacts and components
+        at = np.c_[first, np.bincount(t + 1, minlength=count + 1).cumsum(), np.r_[0, comp][first]]
+        cols, u, v, firsts = keys[order] % n, local[u], local[v], np.flatnonzero(lead)
+        comp, firsts = comp - comp[first[win]], firsts - first[win[lead]]
+        return tuple((cols[o:p], u[e:f], v[e:f], comp[o:p], firsts[c:d])
+                     for (o, e, c), (p, f, d) in pairwise(at.tolist()))
 
     @cached_property
     def next_occurrence(self) -> np.ndarray:

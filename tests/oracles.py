@@ -12,7 +12,9 @@ fixpoint, journey hops by a breadth-first search per window and source,
 random-waypoint contacts by one scan step per tick, the trace writers by
 sorting one Python row per line, the parsers by one Python step per line,
 and the overlap merge, the period clip and the pair aggregates by one
-ContactEvent at a time.
+ContactEvent at a time. Two are earlier builds kept as references: the
+window graphs cut from flat arrays by ``np.split``, and the distance
+matrix text built one entry at a time.
 """
 
 from __future__ import annotations
@@ -356,6 +358,50 @@ def _reduceat_graph(snapshots, t):
     order = np.argsort(head, kind="stable")
     dst, src = np.searchsorted(cols, head[order]), np.searchsorted(cols, tail[order])
     return cols, src, dst, np.searchsorted(dst, np.arange(len(cols)))
+
+
+def split_window_graphs(snapshots):
+    """``SnapshotSequence.window_graphs`` as first built: the same label
+    propagation and flat arrays, cut into W 5-tuples by ``np.split``."""
+    n, count = len(snapshots.nodes), snapshots.window_count
+    t, a, b = snapshots.contacts.T
+    keys = np.flatnonzero(snapshots.occupancy)  # window * n + column
+    rank = np.cumsum(snapshots.occupancy.ravel()) - 1
+    u, v, label = rank[t * n + a], rank[t * n + b], np.arange(len(keys))
+    while True:  # hook roots to neighbours' least roots, then jump
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            break
+        np.minimum.at(label, lu, lv)
+        np.minimum.at(label, lv, lu)
+        while not np.array_equal(label, label[label]):
+            label = label[label]
+    order, win = np.argsort(label, kind="stable"), keys // n  # windows stay in order
+    first = np.r_[0, np.cumsum(np.bincount(win, minlength=count))]
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - first[win]
+    lead = label[order] == order
+    comp = np.cumsum(lead)  # components so far
+    edges = np.cumsum(np.bincount(t, minlength=count))[:-1]
+    return tuple(zip(
+        np.split(keys[order] % n, first[1:-1]),
+        np.split(local[u], edges),
+        np.split(local[v], edges),
+        np.split(comp - comp[first[win]], first[1:-1]),
+        np.split(np.flatnonzero(lead) - first[win[lead]], np.r_[0, comp][first[1:-1]]),
+    ))
+
+
+def matrix_text(entries):
+    """``TemporalDistanceMatrix.to_text`` as first built: one bracketed line
+    per row, each entry through ``int``."""
+    lines = []
+    for r, row in enumerate(entries):
+        body = ", ".join(str(int(v)) for v in row)
+        prefix = "[[" if r == 0 else " ["
+        suffix = "]]" if r == len(entries) - 1 else "],"
+        lines.append(prefix + body + suffix)
+    return "\n".join(lines)
 
 
 _UNREACHED = np.iinfo(np.int64).max // 2

@@ -13,7 +13,9 @@ sweep on long sequences whose windows split into several components and on
 sources that enter in different windows of one block.
 Snapshot placement is also fuzzed with float-noise times against the
 scalar placement loop, with node ids beyond float64 precision, and the
-infection table against the forward build on raw occupancy arrays.
+infection table against the forward build on raw occupancy arrays. The
+window graphs are held to the ``np.split`` build on those sequences and on
+empty-window cases.
 """
 
 from __future__ import annotations
@@ -398,3 +400,48 @@ def test_placement_matches_scalar_loop_on_float_noise(case):
         assert np.array_equal(comp[u], comp[v])
         assert comp.tolist() == [c for c, p in enumerate(parts) for _ in p]
         assert firsts.tolist() == np.searchsorted(comp, np.arange(len(parts))).tolist()
+
+
+def _assert_split_graphs(snaps):
+    got, want = snaps.window_graphs, oracles.split_window_graphs(snaps)
+    assert len(got) == len(want) == snaps.window_count
+    for t, (arrays, expected) in enumerate(zip(got, want)):
+        for x, y in zip(arrays, expected, strict=True):
+            assert x.dtype == y.dtype == np.intp, (t, snaps.contacts.tolist())
+            assert np.array_equal(x, y), (t, snaps.contacts.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    split_window_sequences(),
+    float_noise_traces().map(lambda c: build_snapshots(*c)),
+    occupancy_sequences(max_nodes=16, max_windows=60),
+))
+def test_window_graphs_equal_the_split_build(snaps):
+    _assert_split_graphs(snaps)
+
+
+NO_CONTACTS = np.empty((0, 3), dtype=np.intp)
+
+
+@pytest.mark.parametrize("snaps", [
+    SnapshotSequence(1.0, 1, NO_CONTACTS, (0, 1, 2)),
+    SnapshotSequence(1.0, 4, NO_CONTACTS, (0, 1, 2)),
+    # empty windows 0, 1, 3 and 5 around two edged ones
+    SnapshotSequence(1.0, 6, np.array([[2, 0, 1], [2, 2, 3], [4, 1, 2]]), tuple(range(4))),
+    aggregate(ContactTrace.from_events(
+        [ContactEvent(0, 1, 0, 1), ContactEvent(2, 3, 5, 6), ContactEvent(1, 4, 2, 2)],
+        extra_nodes=[9])).window,
+], ids=["one-window-no-contacts", "four-windows-no-contacts", "empty-ends", "aggregate"])
+def test_window_graphs_equal_the_split_build_on_edge_cases(snaps):
+    _assert_split_graphs(snaps)
+    for cols, u, v, comp, firsts in snaps.window_graphs:
+        assert len(u) == len(v) and len(cols) == len(comp)
+        assert len(firsts) == (comp.max() + 1 if len(comp) else 0)
+
+
+def test_no_contacts_give_zero_scores_and_no_journeys():
+    snaps = SnapshotSequence(1.0, 3, NO_CONTACTS, (0, 1, 2, 3))
+    scores, hops = shortest_journeys(snaps)
+    assert [s.value for s in scores] == [0.0] * 4
+    assert hops.tolist() == np.where(np.eye(4, dtype=bool), 0, -1).tolist()

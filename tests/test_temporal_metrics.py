@@ -95,6 +95,15 @@ class TestTemporalDistanceMatrix:
         assert text.splitlines()[0] == "[[0, 0, 2, 2, -1, -1],"
         assert text.splitlines()[-1] == " [-1, 1, 0, 1, 0, 0]]"
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 36, 98])
+    def test_to_text_matches_the_entry_loop(self, n):
+        rnd = np.random.default_rng(n)
+        entries = np.where(rnd.random((n, n)) < 0.3, -1, rnd.integers(0, 500, (n, n)))
+        np.fill_diagonal(entries, 0)
+        text = TemporalDistanceMatrix(tuple(range(n)), entries).to_text()
+        assert text == oracles.matrix_text(entries)
+        assert n > 1 or text == ["", "[[0]]"][n]
+
     def test_unknown_label_rejected(self, six_node_snapshots):
         matrix = temporal_distance_matrix(six_node_snapshots)
         with pytest.raises(KeyError):
