@@ -84,7 +84,7 @@ def build_report(
         top_bet = _top_cell(static_metrics.betweenness_centrality_all(graph))
         top_tbet = _top_cell(temporal_metrics.temporal_betweenness_all(snapshots))
     else:
-        top_bet = top_tbet = _top_cell(degrees, placeholder=True)
+        top_bet = top_tbet = (_top_cell(degrees)[0], 0.0)  # too few nodes to score
     return MetricsReport(
         dataset_name=dataset_name,
         t_min=period.t_min,
@@ -109,13 +109,10 @@ def build_report(
     )
 
 
-def _top_cell(
-    scores: list[temporal_metrics.CentralityScore], placeholder: bool = False
-) -> tuple[int, float]:
-    """The (node, value) report cell of the top-ranked score; a placeholder
-    cell, for a metric the period has too few nodes for, reads 0.0."""
+def _top_cell(scores: list[temporal_metrics.CentralityScore]) -> tuple[int, float]:
+    """The (node, value) report cell of the top-ranked score."""
     top = temporal_metrics.rank_nodes(scores)[0]
-    return top.node, 0.0 if placeholder else top.value
+    return top.node, top.value
 
 
 def _window_width(clipped: ContactTrace, period: AnalysisPeriod, w: float | None) -> float:
@@ -148,18 +145,11 @@ def _fmt_cell(value) -> str:
 def format_reports(reports: list[MetricsReport], style: str) -> str:
     """Render rows as an aligned table or a tab-delimited block."""
     names = [f.name for f in fields(MetricsReport)]
-    rows = [[_fmt_cell(getattr(r, n)) for n in names] for r in reports]
+    rows = [names] + [[_fmt_cell(getattr(r, n)) for n in names] for r in reports]
     if style == "delimited":
-        lines = ["\t".join(names)]
-        lines.extend("\t".join(row) for row in rows)
-        return "\n".join(lines) + "\n"
-    widths = [
-        max(len(names[c]), max(len(row[c]) for row in rows)) for c in range(len(names))
-    ]
-    lines = ["  ".join(names[c].ljust(widths[c]) for c in range(len(names)))]
-    for row in rows:
-        lines.append("  ".join(row[c].ljust(widths[c]) for c in range(len(names))))
-    return "\n".join(lines) + "\n"
+        return "".join("\t".join(row) + "\n" for row in rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(map(str.ljust, row, widths)) + "\n" for row in rows)
 
 
 def _load_trace(path: str, fmt: str) -> ContactTrace:

@@ -32,9 +32,9 @@ time-expanded graph (Kim & Anderson, PRE 2012) in one sweep over
 ``window_graphs``, sources as rows and nodes as columns, every source
 seeded before it starts. Each window's 0/1 adjacency is filled from its
 contacts both ways; one matmul with it per level (hops less the row's
-least hops in the component) goes up, then down. The way down rebuilds
-each window's levels from the logged pre-window hops. On one window it is
-Brandes' BFS.
+least hops in the component) goes up, then down. The way down measures
+each window's levels from its post-window hops, so the log holds only the
+pre-window hops and path counts. On one window it is Brandes' BFS.
 """
 
 from __future__ import annotations
@@ -314,8 +314,9 @@ def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore
     sources = sources[np.argsort(first[sources], kind="stable")]
     credit = np.zeros(n)
     hops = np.where(np.eye(n, dtype=bool), 0, UNREACHABLE_SENTINEL)
-    # blocks of rows x busiest-window directed edges <= _BLOCK_ELEMENTS
-    widest = max(1, 2 * np.bincount(snapshots.contacts[:, 0], minlength=1).max())
+    # blocks of rows x busiest-window directed edges <= _BLOCK_ELEMENTS (contacts by window)
+    at = np.searchsorted(snapshots.contacts[:, 0], np.arange(snapshots.window_count + 1))
+    widest = max(1, 2 * np.diff(at).max())
     size = max(1, _BLOCK_ELEMENTS // widest)
     for lo in range(0, len(sources), size):
         block = sources[lo : lo + size]
@@ -349,15 +350,12 @@ def _block_credit(
     graphs = snapshots.window_graphs
     log = []
     for t in range(start, snapshots.window_count):
-        cols, u, v, comp, firsts = graphs[t]
+        cols = graphs[t][0]
         if cols.size == 0:
             continue
-        adj = np.zeros((len(cols), len(cols)))
-        adj[u, v] = adj[v, u] = 1.0
         h_pre, sigma_pre = h.take(cols, axis=1), sigma.take(cols, axis=1)
-        base = np.minimum.reduceat(h_pre, firsts, axis=1).take(comp, axis=1)
-        level, st = h_pre - base, sigma_pre.copy()  # level 0 in a component not yet reached
-        frontier, top = level == 0, 0
+        adj, level, base = _levels(graphs[t], h_pre)  # level 0 in a component not yet reached
+        st, frontier, top = sigma_pre.copy(), level == 0, 0
         while True:
             push = np.where(frontier, st, 0.0) @ adj
             lower = (push > 0.0) & (level > top + 1)
@@ -368,25 +366,22 @@ def _block_credit(
             np.add(st, push, out=st, where=frontier)
             top += 1
         ht = level + base
-        arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
-        r, c = np.nonzero(arrived)
+        r, c = np.nonzero((h_pre == _NO_HOPS) & (ht < _NO_HOPS))  # arrivals
         hops[sources[r], cols[c]] = ht[r, c]
         h[:, cols], sigma[:, cols] = ht, st
-        log.append((t, top, h_pre, sigma_pre, arrived))
+        log.append((t, h_pre, sigma_pre))
         pending -= len(r)
         if pending == 0:
             break
     delta, credit, later = np.zeros(h.shape), np.zeros(h.shape), log[-1][0] + 1
-    for t, top, h_pre, sigma_pre, arrived in reversed(log):
-        cols, u, v, comp, firsts = graphs[t]
+    for t, h_pre, sigma_pre in reversed(log):
+        cols = graphs[t][0]
         if later > t + 1:
             credit += (later - t - 1) * delta  # the edgeless windows between
-        adj = np.zeros((len(cols), len(cols)))
-        adj[u, v] = adj[v, u] = 1.0
         ht, st = h.take(cols, axis=1), sigma.take(cols, axis=1)
-        base = np.minimum.reduceat(h_pre, firsts, axis=1).take(comp, axis=1)
-        level, norm = ht - base, np.maximum(st, 1.0)
-        dt = delta.take(cols, axis=1)
+        adj, level, _ = _levels(graphs[t], ht)
+        top, arrived = int(level.max()), (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
+        norm, dt = np.maximum(st, 1.0), delta.take(cols, axis=1)
         above = level == top
         for x in range(top - 1, -1, -1):
             pushed = np.where(above, (dt + arrived) / norm, 0.0) @ adj
@@ -401,3 +396,16 @@ def _block_credit(
         later = t
     credit[rows, sources] = 0.0
     return credit.sum(axis=0)
+
+
+def _levels(graph: tuple[np.ndarray, ...], h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One window's 0/1 adjacency, filled from its contacts both ways; the
+    levels of the rows x occupants hops ``h``, each less its row's least
+    hops in its component; and those least hops. A window never moves its
+    level-0 states, so its pre- and post-window hops give the same least
+    hops, and after it a component's levels run 0..max with no gap."""
+    cols, u, v, comp, firsts = graph
+    adj = np.zeros((len(cols), len(cols)))
+    adj[u, v] = adj[v, u] = 1.0
+    base = np.minimum.reduceat(h, firsts, axis=1).take(comp, axis=1)
+    return adj, h - base, base

@@ -345,6 +345,20 @@ class TestBuildReport:
         assert len(header) == len(row)  # every cell padded to its column
         assert row[header.index("total_nodes")] == "6"
 
+    def test_format_reports_table_aligns_several_rows(self, six_node_trace):
+        # the second row's name is wider than its header and the first row's cell
+        reports = [build_report(six_node_trace, AnalysisPeriod(0, 900), w=300),
+                   build_report(six_node_trace, AnalysisPeriod(640, 670), w=30,
+                                dataset_name="six-node, two-node period")]
+        table = format_reports(reports, "table").splitlines()
+        cells = [line.split("\t") for line in format_reports(reports, "delimited").splitlines()]
+        header = table[0]
+        starts = [i for i, ch in enumerate(header) if ch != " " and header[i - 1 : i] in ("", " ")]
+        assert len(table) == 3 and len({len(line) for line in table}) == 1
+        for line, row in zip(table, cells, strict=True):
+            ends = [*starts[1:], len(line)]
+            assert [line[a:b].rstrip() for a, b in zip(starts, ends)] == row
+
     def test_tuple_cells_render_node_and_value(self, six_node_trace):
         report = build_report(six_node_trace, AnalysisPeriod(0, 900), w=300)
         text = format_reports([report], "delimited")

@@ -10,7 +10,8 @@ same traces with repeated rows, self-contact rows and isolated nodes added,
 and its hops against a relaxation oracle; the sweep's journey hops against
 a breadth-first search per window, and the whole sweep against the fixpoint
 sweep on long sequences whose windows split into several components and on
-sources that enter in different windows of one block.
+sources that enter in different windows of one block, with the way back's
+level step held to the way forward's.
 Snapshot placement is also fuzzed with float-noise times against the
 scalar placement loop, with node ids beyond float64 precision, and the
 infection table against the forward build on raw occupancy arrays. The
@@ -289,6 +290,45 @@ def test_level_sweep_matches_the_fixpoint_sweep(snaps, blocks):
     for got, want in zip(scores, want_scores):
         assert (got.value == 0.0) == (want == 0.0)
         assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(split_window_sequences(), betweenness_traces().map(lambda c: build_snapshots(*c))))
+def test_the_way_back_rederives_the_levels_of_the_way_forward(snaps):
+    # The log keeps no top level and no arrivals: per logged window the way
+    # back's _levels, on the post-window hops, gives the forward call's least
+    # hops, and levels running 0..max in every reached (row, component).
+    levels, block_credit = temporal_metrics._levels, temporal_metrics._block_credit
+    calls, blocks = [], []
+
+    def spy_levels(graph, h):
+        calls.append((graph, levels(graph, h)))
+        return calls[-1][1]
+
+    def spy_block_credit(*args):
+        credit = block_credit(*args)
+        blocks.append(calls.copy())
+        calls.clear()
+        return credit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(temporal_metrics, "_levels", spy_levels)
+        mp.setattr(temporal_metrics, "_block_credit", spy_block_credit)
+        shortest_journeys(snaps)
+    assert not calls  # every call belongs to a block
+    for block in blocks:
+        half = len(block) // 2
+        assert len(block) == 2 * half > 0
+        for (graph, (_, _, base)), (back, (_, level, back_base)) in zip(
+            block[:half], reversed(block[half:])
+        ):
+            assert back is graph
+            assert np.array_equal(back_base, base), snaps.contacts.tolist()
+            comp = graph[3]
+            for r, row in enumerate(level):
+                for k in np.unique(comp[base[r] < temporal_metrics._NO_HOPS]):
+                    got = set(row[comp == k].tolist())
+                    assert got == set(range(max(got) + 1)), snaps.contacts.tolist()
 
 
 def test_sweep_with_no_target_logs_its_first_window():
