@@ -154,7 +154,7 @@ def format_reports(reports: list[MetricsReport], style: str) -> str:
 
 def _load_trace(path: str, fmt: str) -> ContactTrace:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

@@ -21,11 +21,11 @@ together, one vector step per link of the longest chain rather than one
 per window; the matrix drops a pair once its best distance is 0.
 
 The matrix keeps the best score per (source, target); the
-edge-respecting distance runs its own edge scans on the same (start,
-paper hit) schedule. Sharing the schedule keeps the occurrence semantics
-at most as large as the edge semantics pair by pair, and makes the two
-coincide whenever every window's contact graph is connected over its
-occupants.
+edge-respecting distance walks the same (start, paper hit) schedule,
+one hop marking both ends of each window contact with a reached end.
+Sharing the schedule keeps the occurrence semantics at most as large as
+the edge semantics pair by pair, and makes the two coincide whenever
+every window's contact graph is connected over its occupants.
 
 Temporal betweenness accumulates Brandes-style dependencies on the
 time-expanded graph (Kim & Anderson, PRE 2012) in one sweep over
@@ -52,7 +52,9 @@ UNREACHABLE_SENTINEL = -1
 
 #: Rows times busiest-window directed edges per betweenness block. Every
 #: occupant ends an edge, so this bounds each window's rows x occupants
-#: arrays, but not the sweep's log, which is O(rows x logged occupancy).
+#: arrays, but neither the sweep's log, O(rows x logged occupancy), nor its
+#: rows x N h, sigma, delta and credit (the way back adds all of delta into
+#: credit at every logged window).
 _BLOCK_ELEMENTS = 1 << 16
 _NO_HOPS = np.iinfo(np.int64).max // 2  # hop count of an unreached state
 
@@ -239,38 +241,26 @@ def temporal_distance_exact(
     a, b = column_of(snapshots.nodes, i), column_of(snapshots.nodes, j)
     if a == b:
         return 0
-    W = snapshots.window_count
+    W, graphs = snapshots.window_count, snapshots.window_graphs
     best: Optional[int] = None
     for _, s, hits, _ in _scan_schedule(snapshots, np.array([a]), np.array([b])):
         if hits[0] < 0:
             break  # no occurrence chain reaches j, so no edge journey does
-        s = int(s[0])
-        stop = W if best is None else min(s + best, W)  # a later hit is no shorter
-        hit = _edge_scan_hit(snapshots, a, b, s, stop, cfg.horizon)
-        if hit is not None:
-            best = hit - s
+        s, reach = int(s[0]), np.arange(len(snapshots.nodes)) == a
+        for t in range(s, W if best is None else min(s + best, W)):  # a later hit is no shorter
+            cols, u, v, _, _ = graphs[t]
+            local = reach[cols]
+            if before := np.count_nonzero(local):
+                for _ in range(len(cols) if cfg.horizon is None else cfg.horizon):
+                    hop = local[u] | local[v]  # one hop: both ends of every reached contact
+                    local[u[hop]] = local[v[hop]] = True
+                    if before == (before := np.count_nonzero(local)):
+                        break
+                reach[cols] = local
+            if reach[b]:
+                best = t - s
+                break
     return best
-
-
-def _edge_scan_hit(
-    snapshots: SnapshotSequence, a: int, b: int, s: int, stop: int, horizon: Optional[int]
-) -> Optional[int]:
-    """First window in [s, stop) where an edge journey from column a reaches b."""
-    reach = np.arange(len(snapshots.nodes)) == a
-    for t in range(s, stop):
-        cols, u, v, _, _ = snapshots.window_graphs[t]
-        local = reach[cols]
-        if before := np.count_nonzero(local):
-            adj = np.zeros((len(cols), len(cols)), dtype=bool)
-            adj[u, v] = adj[v, u] = True
-            for _ in range(len(cols) if horizon is None else horizon):
-                local = local | local @ adj
-                if before == (before := np.count_nonzero(local)):
-                    break
-            reach[cols] = local
-        if reach[b]:
-            return t
-    return None
 
 
 def rank_nodes(scores: list[CentralityScore]) -> list[CentralityScore]:

@@ -187,6 +187,27 @@ class TestAnalyzeCommand:
         assert "1 parse warning(s)" in got.err
         assert "line 3: occurrence count 9 != recomputed 1" in got.err
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("common", "0 1 0 10 1 0\n1 2 10 20 1 0\n2 3 20 30 1 0\n"),
+            ("one", "0 CONN 1 2 up\n5 CONN 1 2 down\n10 CONN 2 3 up\n15 CONN 0 1 up\n"),
+        ],
+    )
+    def test_byte_order_mark_changes_nothing(self, capsys, tmp_path, fmt, text):
+        # a UTF-8 BOM must not stick to the first token and make row 1 a header
+        argv = ["analyze", "--format", fmt, "--window", "10", "--report-format", "delimited"]
+        cells = []
+        for name, bom in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(bom + text.encode())
+            assert main([*argv, "--input", str(path)]) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            cells.append([line.split("\t")[1:] for line in out])  # all but the input path
+        assert cells[0] == cells[1]
+        row = dict(zip(cells[0][0], cells[0][1]))
+        assert (row["total_nodes"], row["total_connections"]) == ("4", "3")
+
     def test_header_after_blank_line(self, capsys, tmp_path, six_node_file):
         path = tmp_path / "blank_first.txt"
         with open(six_node_file) as fh:

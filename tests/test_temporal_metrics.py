@@ -230,6 +230,21 @@ class TestTemporalDistanceExact:
                         want = oracles.exact_distance(snaps, i, j, horizon)
                         assert got == want, (trace.events, horizon, i, j)
 
+    @pytest.mark.parametrize("horizon, want", [(999, None), (1000, 1), (None, 1)])
+    def test_large_window_ring(self, horizon, want):
+        # a 2,000-node ring in window 0 puts node 1,000 exactly 1,000 hops
+        # from node 0; node 1,000 meets the new node 2,000 in window 1
+        n = 2000
+        events = [ContactEvent(k, (k + 1) % n, 0.25, 0.5) for k in range(n)]
+        events.append(ContactEvent(n // 2, n, 1.25, 1.5))
+        trace, period = ContactTrace.from_events(events, span=(0, 2)), AnalysisPeriod(0, 2)
+        cfg = WindowConfig(1, horizon=horizon)
+        snaps = build_snapshots(trace, period, cfg)
+        assert oracles.exact_distance(snaps, 0, n, horizon) == want
+        t0 = time.perf_counter()
+        assert temporal_distance_exact(trace, period, cfg, 0, n, snaps) == want
+        assert time.perf_counter() - t0 < 1.0  # no k x k work per window
+
 
 class TestScaleAtTheBound:
     """Every node in every window at the two worst sizes that the CLI's
