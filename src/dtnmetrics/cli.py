@@ -25,7 +25,8 @@ EXIT_USAGE = 2
 # on 10 x 25,298 and 2 x 56,568 full windows; but 164-168 s and 1,391 MB on a
 # 100-node path whose 98 contacts span all 8,000 windows, one more node joining
 # in the last: that node keeps the sweep going, so every window is logged, and
-# each window walks up to 98 hop levels.
+# each window walks up to 98 hop levels. Nor does it bound build_snapshots'
+# contact-window rows, one per pair per window a contact spans.
 _MAX_SCAN_WORK = 64 * 10**8
 
 
@@ -79,12 +80,6 @@ def build_report(
     tdia = temporal_metrics.temporal_diameter(matrix, w)
 
     graph = static_metrics.aggregate(clipped)
-    degrees = static_metrics.degree_centrality_all(graph)
-    if n >= 3:
-        top_bet = _top_cell(static_metrics.betweenness_centrality_all(graph))
-        top_tbet = _top_cell(temporal_metrics.temporal_betweenness_all(snapshots))
-    else:
-        top_bet = top_tbet = (_top_cell(degrees)[0], 0.0)  # too few nodes to score
     return MetricsReport(
         dataset_name=dataset_name,
         t_min=period.t_min,
@@ -96,8 +91,8 @@ def build_report(
         static_distance=static_metrics.static_average_distance(graph),
         average_temporal_distance=temporal_metrics.average_temporal_distance(matrix, w),
         diameter=static_metrics.static_diameter(graph),
-        top_degree=_top_cell(degrees),
-        top_betweenness=top_bet,
+        top_degree=_top_cell(static_metrics.degree_centrality_all(graph)),
+        top_betweenness=_top_cell(static_metrics.betweenness_centrality_all(graph)),
         top_closeness=_top_cell(static_metrics.closeness_centrality_all(graph)),
         reachable_pairs=temporal_metrics.reachable_pair_count(matrix),
         temporal_diameter_hops=tdia.hops,
@@ -105,7 +100,9 @@ def build_report(
         top_temporal_closeness=_top_cell(
             temporal_metrics.temporal_closeness_all(matrix, snapshots.window_count)
         ),
-        top_temporal_betweenness=top_tbet,
+        top_temporal_betweenness=_top_cell(
+            temporal_metrics.temporal_betweenness_all(snapshots)
+        ),
     )
 
 

@@ -110,9 +110,7 @@ def betweenness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
 
 
 def betweenness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
-    """betweenness_centrality of every node, in ascending node id."""
-    if g.n < 3:
-        raise ValueError("betweenness centrality needs at least 3 nodes")
+    """betweenness_centrality of every node, in ascending node id (0 below 3)."""
     return list(g._journeys[0])
 
 

@@ -276,9 +276,7 @@ def temporal_betweenness(snapshots: SnapshotSequence, i: int) -> CentralityScore
 
 
 def temporal_betweenness_all(snapshots: SnapshotSequence) -> list[CentralityScore]:
-    """The scores of :func:`shortest_journeys`, for at least 3 nodes."""
-    if len(snapshots.nodes) < 3:
-        raise ValueError("temporal betweenness needs at least 3 nodes")
+    """The scores of :func:`shortest_journeys`; all 0 below 3 nodes."""
     return shortest_journeys(snapshots)[0]
 
 
@@ -293,30 +291,30 @@ def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore
     then total edge hops); a node holds the message from its arrival
     window through its departure window. Scores are normalized by
     (N-1)(N-2) per window and averaged over all W windows, which keeps
-    them in [0, 1]. ``hops[j, k]`` counts the edge hops of a shortest
-    journey from j to k, -1 if none and 0 on the diagonal.
+    them in [0, 1], and are all 0 below 3 nodes. ``hops[j, k]`` counts the
+    edge hops of a shortest journey from j to k, -1 if none and 0 on the
+    diagonal. A journey count overflowing float64 raises FloatingPointError.
     """
-    nodes = snapshots.nodes
+    nodes, W = snapshots.nodes, snapshots.window_count
     n = len(nodes)
-    occ = snapshots.occupancy
-    first = occ.argmax(axis=0)
-    sources = np.flatnonzero(occ.any(axis=0))
-    sources = sources[np.argsort(first[sources], kind="stable")]
+    first = snapshots.next_occurrence[0]  # W where a node never occurs
+    sources = np.argsort(first, kind="stable")[: np.count_nonzero(first < W)]
     credit = np.zeros(n)
     hops = np.where(np.eye(n, dtype=bool), 0, UNREACHABLE_SENTINEL)
     # blocks of rows x busiest-window directed edges <= _BLOCK_ELEMENTS (contacts by window)
-    at = np.searchsorted(snapshots.contacts[:, 0], np.arange(snapshots.window_count + 1))
+    at = np.searchsorted(snapshots.contacts[:, 0], np.arange(W + 1))
     widest = max(1, 2 * np.diff(at).max())
     size = max(1, _BLOCK_ELEMENTS // widest)
     for lo in range(0, len(sources), size):
         block = sources[lo : lo + size]
         pending = len(block) * (len(sources) - 1)  # (row, target) states to reach
         credit += _block_credit(snapshots, block, first[block[0]], pending, hops)
-    norm = max(1, (n - 1) * (n - 2) * snapshots.window_count)
+    norm = max(1, (n - 1) * (n - 2) * W)
     scores = [CentralityScore(node, float(c) / norm) for node, c in zip(nodes, credit)]
     return scores, hops
 
 
+@np.errstate(over="raise", invalid="raise")
 def _block_credit(
     snapshots: SnapshotSequence, sources: np.ndarray, start: int, pending: int, hops: np.ndarray
 ) -> np.ndarray:

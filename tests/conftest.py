@@ -11,6 +11,7 @@ from dtnmetrics import (
     WindowConfig,
     build_snapshots,
 )
+from dtnmetrics import temporal_metrics
 
 # Node ids for the six-node worked example: letters A..F map to 0..5.
 A, B, C, D, E, F = range(6)
@@ -142,6 +143,24 @@ def star_trace(leaves: int, hub: int = 0) -> ContactTrace:
         for leaf in range(1, leaves + 1)
     ]
     return ContactTrace.from_events(events, span=(0, 100))
+
+
+# Common-format rows whose journey counts overflow float64 within two hops
+# once the sweep's adjacency is scaled (see overflowing_levels); analysed with
+# window 1 over [0, 10].
+OVERFLOW_ROWS = "0 1 0 1 1 0\n1 2 0 1 1 0\n2 3 5 6 1 0\n"
+
+
+@pytest.fixture()
+def overflowing_levels(monkeypatch):
+    """Scale every window adjacency the journey sweep reads by 1e308."""
+    levels = temporal_metrics._levels
+
+    def scaled(graph, h):
+        adj, level, base = levels(graph, h)
+        return adj * 1e308, level, base
+
+    monkeypatch.setattr(temporal_metrics, "_levels", scaled)
 
 
 @pytest.fixture()

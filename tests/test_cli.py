@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import ExitStack
 from dataclasses import fields
 from pathlib import Path
@@ -35,7 +36,7 @@ from dtnmetrics.cli import (
     main,
 )
 
-from .conftest import ONE_REPORT_TEXT
+from .conftest import ONE_REPORT_TEXT, OVERFLOW_ROWS
 
 
 @pytest.fixture()
@@ -121,6 +122,24 @@ class TestAnalyzeCommand:
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3  # header + one row per period
+
+    @pytest.mark.parametrize(
+        "fmt, text, cells",
+        [
+            ("common", "7 3 0 10 1 0\n3 7 20 25 2 20\n",
+             "0\t25\t2\t2\t1\t60\t1\t0\t1\t(3, 1)\t(3, 0)\t(3, 1)\t2\t0\t0\t(3, 0)\t(3, 0)"),
+            ("one", "0 CONN 5 2 up\n4 CONN 5 2 down\n10 CONN 2 5 up\n12 CONN 2 5 down\n",
+             "0\t12\t2\t2\t1\t60\t1\t0\t1\t(2, 1)\t(2, 0)\t(2, 1)\t2\t0\t0\t(2, 0)\t(2, 0)"),
+        ],
+    )
+    def test_two_node_report(self, capsys, tmp_path, fmt, text, cells):
+        # both betweenness cells read (lower id, 0): every node scores 0
+        path = tmp_path / "two.txt"
+        path.write_text(text)
+        argv = ["analyze", "--input", str(path), "--format", fmt, "--report-format", "delimited"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.out.splitlines()[1:] == [f"{path}\t{cells}"] and not out.err
 
     def test_output_file(self, tmp_path, six_node_file):
         out = tmp_path / "report.txt"
@@ -408,6 +427,18 @@ class TestExitCodes:
         monkeypatch.setattr(tm, "temporal_distance_matrix", bug)
         assert main([command, "--input", six_node_file, "--window", "300"]) == EXIT_INTERNAL
         assert "internal error: bug" in capsys.readouterr().err
+
+    def test_overflowing_journey_counts_are_exit_one(
+        self, capsys, tmp_path, overflowing_levels
+    ):
+        path = tmp_path / "overflow.txt"
+        path.write_text(OVERFLOW_ROWS)
+        argv = ["analyze", "--input", str(path), "--window", "1", "--tmin", "0", "--tmax", "10"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # as the CLI runs, not as these tests do
+            assert main(argv) == EXIT_INTERNAL
+        assert "internal error: overflow encountered" in capsys.readouterr().err
+        assert not caught
 
     @pytest.mark.parametrize("window", ["inf", "nan"])
     @pytest.mark.parametrize("command", ["analyze", "matrix"])

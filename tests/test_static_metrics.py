@@ -135,10 +135,10 @@ class TestBetweenness:
         g = aggregate(path_trace(3))
         assert betweenness_centrality(g, 1).value == 1.0
 
-    def test_needs_three_nodes(self):
-        g = aggregate(ContactTrace.from_events([ContactEvent(0, 1, 0, 1)]))
-        with pytest.raises(ValueError):
-            betweenness_centrality_all(g)
+    def test_below_three_nodes_scores_zero(self):
+        for nodes, edges in (({0, 1}, {(0, 1)}), ({4}, {(4, 4)}), ({4}, set())):
+            got = betweenness_centrality_all(graph_of(nodes, edges))
+            assert got == [CentralityScore(v, 0.0) for v in sorted(nodes)]
 
     def test_matches_enumeration_oracle(self):
         rnd = random.Random(7)
@@ -259,6 +259,12 @@ class TestMatchesNetworkx:
             g = graph_of(range(n), edges)
             assert_matches_networkx(g)
         assert static_diameter(graph_of(range(n), path)) == n - 1
+
+    @pytest.mark.parametrize(
+        "edges", [{(2, 5)}, {(2, 5), (5, 5)}, {(2, 2)}], ids=["edge", "edge-loop", "loop"]
+    )
+    def test_two_node_graphs(self, edges):
+        assert_matches_networkx(graph_of({2, 5}, edges))
 
     def test_only_self_loops(self):
         g = graph_of({3, 7, 9}, {(3, 3), (9, 9)})

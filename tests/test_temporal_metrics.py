@@ -14,6 +14,8 @@ from dtnmetrics import (
     WindowConfig,
     average_temporal_distance,
     build_snapshots,
+    clip_to_period,
+    parse_common_format,
     rank_nodes,
     reachable_pair_count,
     temporal_betweenness,
@@ -25,10 +27,10 @@ from dtnmetrics import (
     temporal_distance_matrix,
     temporal_distance_paper,
 )
-from dtnmetrics import static_metrics
+from dtnmetrics import static_metrics, temporal_metrics
 
 from . import oracles
-from .conftest import SIX_NODE_MATRIX, A, B, C, D, E, F, random_trace, star_trace
+from .conftest import OVERFLOW_ROWS, SIX_NODE_MATRIX, A, B, C, D, E, F, random_trace, star_trace
 
 
 class TestTemporalDistancePaper:
@@ -291,11 +293,20 @@ class TestTemporalBetweenness:
             for s in temporal_betweenness_all(snaps):
                 assert 0.0 <= s.value <= 1.0
 
-    def test_needs_three_nodes(self):
-        trace = ContactTrace.from_events([ContactEvent(0, 1, 1, 2)], span=(0, 10))
-        snaps = build_snapshots(trace, AnalysisPeriod(0, 10), WindowConfig(10))
-        with pytest.raises(ValueError):
-            temporal_betweenness_all(snaps)
+    @pytest.mark.parametrize("w", [1, 10])
+    def test_below_three_nodes_scores_zero(self, w):
+        for event in (ContactEvent(0, 1, 1, 2), ContactEvent(4, 4, 1, 2)):
+            trace = ContactTrace.from_events([event], span=(0, 10))
+            snaps = build_snapshots(trace, AnalysisPeriod(0, 10), WindowConfig(w))
+            got = temporal_betweenness_all(snaps)
+            assert got == [CentralityScore(v, 0.0) for v in sorted(trace.nodes)]
+
+    def test_overflowing_journey_counts_raise(self, overflowing_levels):
+        period = AnalysisPeriod(0, 10)
+        trace = clip_to_period(parse_common_format(OVERFLOW_ROWS), period)
+        snaps = build_snapshots(trace, period, WindowConfig(1))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            temporal_metrics.shortest_journeys(snaps)
 
     def test_sweep_memory_stays_within_its_blocks(self):
         # 98 nodes, about 900 contacts in every window; the last node occurs
