@@ -7,16 +7,18 @@ within radio range at a tick and closes at the first tick they are out
 of range again. The pseudo-random source is numpy's seeded PCG64
 generator, so a fixed seed reproduces the exact event list.
 
-Contacts are detected a block of ticks at a time: the squared distances
-of every node pair at every tick of the block form one (ticks x pairs)
-array, each row is compared with the row before it (the previous block's
-last row is carried across the boundary), and one ``np.flatnonzero``
-gives the (tick, pair) transitions. Grouping them by pair, in tick order,
-then pairs them, since each pair alternates up, down, up, ...; an up
-left open closes at the final tick. A block holds three float64 and two
-boolean (ticks x pairs) buffers of at most ``_BLOCK_ELEMENTS`` elements
-each, 1.7 MB in all, and positions are sampled for at most
-``_CHUNK_ELEMENTS`` (tick, node) points at once, 8 MB.
+Each node's path is drawn ``_LEGS_PER_DRAW`` legs at a time, with the
+same doubles, in the same order, as one leg at a time. Contacts are
+detected a chunk of ticks at a time, node by node: node i's pairs
+(i, j > i) at every tick of the chunk are the rows of ``x[i] - x[i+1:]``,
+and each row's in-range flags are compared with the flag one tick before
+(the previous chunk's last flag is carried across the boundary), so one
+``np.flatnonzero`` per node gives the (tick, pair) transitions. Grouping
+them by pair, in tick order, then pairs them, since each pair alternates
+up, down, up, ...; an up left open closes at the final tick. A chunk
+holds two float64 and two boolean (nodes - 1) x ticks buffers of about
+``_BLOCK_ELEMENTS`` elements each, 1.1 MB in all, and the chunk's
+positions, 1 to 2 MB. Event times are rounded once per distinct tick.
 
 ``RwpParams`` rejects, before anything is allocated, a run of more than
 ``_MAX_TICK_PAIRS`` ticks x pairs or ``_MAX_PAIRS`` pairs, or one whose
@@ -34,23 +36,23 @@ import numpy as np
 from .trace_model import ContactTrace, group_cumsum, groups
 
 # Bounds on the scan, checked before allocation: ticks x pairs sets the time
-# (and the contacts a run can find), pairs alone the per-pair arrays and one
-# block row. At the first bound the generate command took 10.6-11.5 s and
-# 322-370 MB of RSS on a 2-CPU Xeon (98 nodes over 28,237 ticks, 665k
-# contacts), and 16.3 s and 96 MB for 2 nodes over 1.3e8 ticks; at the
-# second, 0.4 s and 80 MB (1,448 nodes over 2 ticks).
+# (and the contacts a run can find), pairs alone the per-pair arrays. At the
+# first bound the generate command took 3.3-3.8 s and 234 MB of RSS on a 2-CPU
+# Xeon (98 nodes over 28,237 ticks in a 100 m square at 13 m range, 927k
+# contacts), and 5.5 s and 58 MB for 2 nodes over 1.3e8 ticks; at the second,
+# 0.2 s and 59 MB (1,448 nodes over 2 ticks).
 _MAX_TICK_PAIRS = 1 << 27
 _MAX_PAIRS = 1 << 20
-# Bound on the waypoints the paths may take, built one leg at a time in
-# Python. A leg is on average at least a third of the area's longer side, so a
-# node makes about 3 * duration * speed_max / side legs at most, each one
-# waypoint (two with pauses). At the bound the generate command took 12.1 s and
-# 122 MB of RSS on a 2-CPU Xeon (2 nodes at 1 m/s for 1.7e8 s in a 1000 x 1 m
-# area: 1.05M waypoints).
+# Bound on the waypoints the paths may take. A leg is on average at least a
+# third of the area's longer side, so a node makes about
+# 3 * duration * speed_max / side legs at most, each one waypoint (two with
+# pauses). Near the bound the generate command took 3.4 s and 95 MB of RSS on
+# a 2-CPU Xeon (2 nodes at 1 m/s for 1.74e8 s in a 1000 x 1 m area at a 10 s
+# tick: 1.04M waypoints).
 _MAX_WAYPOINTS = 1 << 20
-# Elements of one (ticks x pairs) block, and (tick, node) positions per chunk.
+# Elements of one (nodes - 1) x ticks buffer of a chunk, and legs per batch of draws.
 _BLOCK_ELEMENTS = 1 << 16
-_CHUNK_ELEMENTS = 1 << 19
+_LEGS_PER_DRAW = 32
 
 
 @dataclass(frozen=True)
@@ -122,27 +124,46 @@ class RwpParams:
 
 
 def _waypoint_track(rng: np.random.Generator, p: RwpParams):
-    """Breakpoint arrays (t, x, y) for one node's piecewise-linear path."""
-    times = [0.0]
-    xs = [rng.uniform(0.0, p.area_width)]
-    ys = [rng.uniform(0.0, p.area_height)]
+    """Breakpoint arrays (t, x, y) for one node's piecewise-linear path.
+
+    Legs are drawn ``_LEGS_PER_DRAW`` at a time, one row each of dest x,
+    dest y, speed and, when ``pause_max > 0``, pause: the doubles a leg at a
+    time would draw, in the same order. ``cumsum`` adds the travel and pause
+    times in order, as ``t += ...`` does. The legs after the first whose
+    pause ends past ``duration`` are dropped, and the generator is moved to
+    just after that leg's draws, so the next node's draws are unchanged.
+    """
+    bits, batch = rng.bit_generator, _LEGS_PER_DRAW
+    stride = 4 if p.pause_max > 0 else 3
+    low = np.array([0.0, 0.0, p.speed_min, 0.0][:stride])
+    scale = np.array([p.area_width, p.area_height, p.speed_max - p.speed_min,
+                      p.pause_max][:stride])
+    legs = np.empty((batch + 1, stride))  # row 0: the waypoint the batch starts from
+    legs[-1, :2] = rng.random(2) * scale[:2]
+    times, points = [np.zeros(1)], [legs[-1:, :2].copy()]
     t = 0.0
     while t <= p.duration:
-        dest_x = rng.uniform(0.0, p.area_width)
-        dest_y = rng.uniform(0.0, p.area_height)
-        speed = rng.uniform(p.speed_min, p.speed_max)
-        dist = float(np.hypot(dest_x - xs[-1], dest_y - ys[-1]))
-        t += max(dist / speed, 1e-9)
-        times.append(t)
-        xs.append(dest_x)
-        ys.append(dest_y)
-        pause = rng.uniform(0.0, p.pause_max) if p.pause_max > 0 else 0.0
-        if pause > 0:
-            t += pause
-            times.append(t)
-            xs.append(dest_x)
-            ys.append(dest_y)
-    return np.asarray(times), np.asarray(xs), np.asarray(ys)
+        state = bits.state
+        legs[0, :2] = legs[-1, :2]
+        draw = legs[1:]
+        # low + (high - low) * u, as rng.uniform computes it
+        np.add(np.multiply(rng.random((batch, stride)), scale, out=draw), low, out=draw)
+        move = draw[:, :2] - legs[:-1, :2]
+        steps = draw[:, 2:]  # travel time, then pause
+        np.maximum(np.hypot(move[:, 0], move[:, 1]) / draw[:, 2], 1e-9, out=steps[:, 0])
+        steps[0, 0] += t
+        ends = np.cumsum(steps).reshape(batch, -1)
+        over = np.flatnonzero(ends[:, -1] > p.duration)
+        n = int(over[0]) + 1 if len(over) else batch
+        keep = (steps[:n] > 0).ravel()  # a zero pause adds no point
+        times.append(ends[:n].ravel()[keep])
+        points.append(np.repeat(draw[:n, :2], stride - 2, axis=0)[keep])
+        t = ends[n - 1, -1]
+        if n < batch:
+            bits.state = state
+            bits.advance(n * stride)  # PCG64 takes one 64-bit output per double
+    x, y = np.concatenate(points).T.copy()
+    return np.concatenate(times), x, y
 
 
 def build_tracks(params: RwpParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -156,52 +177,59 @@ def positions_at(
 ) -> np.ndarray:
     """Positions for the given times, shape (len(times), nodes, 2).
 
-    Each coordinate is stored contiguously: ``pos[..., 0]`` is a C-ordered
-    (times x nodes) view.
+    The array is the transposed view of a C-ordered (2, nodes, times) one:
+    ``pos.T[0]`` holds the x of each node over the times contiguously.
     """
-    pos = np.empty((2, len(times), len(tracks))).transpose(1, 2, 0)
+    pos = np.empty((2, len(tracks), len(times)))
     for node, (t_arr, x_arr, y_arr) in enumerate(tracks):
-        pos[:, node, 0] = np.interp(times, t_arr, x_arr)
-        pos[:, node, 1] = np.interp(times, t_arr, y_arr)
-    return pos
+        pos[0, node] = np.interp(times, t_arr, x_arr)
+        pos[1, node] = np.interp(times, t_arr, y_arr)
+    return pos.T
 
 
-def _transitions(params: RwpParams, iu: np.ndarray, ju: np.ndarray):
+def _transitions(params: RwpParams):
     """Tick and pair index of every change of a pair's in-range flag, the
-    flag being False before tick 0, in tick order."""
+    flag being False before tick 0, in no particular order."""
     tracks = build_tracks(params)
-    n_ticks, range_sq = params.tick_count, params.range * params.range
-    block = max(1, _BLOCK_ELEMENTS // len(iu))
-    chunk = block * max(1, _CHUNK_ELEMENTS // (block * params.node_count))
-    d2, dy, tmp = (np.empty((block, len(iu))) for _ in range(3))
-    inside = np.zeros((block + 1, len(iu)), dtype=bool)  # row 0: the tick before
-    changed = np.empty((block, len(iu)), dtype=bool)
+    n, n_ticks = params.node_count, params.tick_count
+    range_sq = params.range * params.range
+    chunk = max(1, _BLOCK_ELEMENTS // (n - 1))
+    d2, dy, changed = (np.empty(chunk * (n - 1), dtype) for dtype in (float, float, bool))
+    inside = np.empty((chunk + 1) * (n - 1), dtype=bool)
+    last = np.zeros(n * (n - 1) // 2, dtype=bool)  # each pair's flag at the last tick seen
     ticks, pairs = [], []
     for c0 in range(0, n_ticks, chunk):
-        pos = positions_at(tracks, np.arange(c0, min(c0 + chunk, n_ticks)) * params.tick)
-        for k0 in range(0, len(pos), block):
-            rows = min(block, len(pos) - k0)
-            x, y = pos[k0:k0 + rows, :, 0], pos[k0:k0 + rows, :, 1]
-            d, e, f = d2[:rows], dy[:rows], tmp[:rows]
-            # mode="clip" lets take write straight into out; iu and ju are in range.
-            np.subtract(x.take(iu, 1, d, "clip"), x.take(ju, 1, f, "clip"), out=d)
+        rows = min(chunk, n_ticks - c0)
+        x, y = positions_at(tracks, np.arange(c0, c0 + rows) * params.tick).T
+        d2s, dys, flips = (buf[:(n - 1) * rows].reshape(n - 1, rows) for buf in (d2, dy, changed))
+        nows = inside[:(n - 1) * (rows + 1)].reshape(n - 1, rows + 1)
+        found, lo = [], 0
+        for i in range(n - 1):
+            # node i's pairs (i, j > i) are pairs lo..hi-1, in the rows of x[i] - x[i+1:]
+            m = n - 1 - i
+            hi = lo + m
+            d, e, now, flip = d2s[:m], dys[:m], nows[:m], flips[:m]
+            np.subtract(x[i], x[i + 1:], out=d)
             np.multiply(d, d, out=d)
-            np.subtract(y.take(iu, 1, e, "clip"), y.take(ju, 1, f, "clip"), out=e)
+            np.subtract(y[i], y[i + 1:], out=e)
             np.multiply(e, e, out=e)
             np.add(d, e, out=d)
-            np.less_equal(d, range_sq, out=inside[1:rows + 1])
-            np.not_equal(inside[1:rows + 1], inside[:rows], out=changed[:rows])
-            t, p = np.divmod(np.flatnonzero(changed[:rows]), len(iu))
-            ticks.append(t + (c0 + k0))
-            pairs.append(p)
-            inside[0] = inside[rows]
+            now[:, 0] = last[lo:hi]  # column 0: the tick before the chunk
+            np.less_equal(d, range_sq, out=now[:, 1:])
+            last[lo:hi] = now[:, rows]
+            np.not_equal(now[:, 1:], now[:, :-1], out=flip)
+            found.append(np.flatnonzero(flip) + lo * rows)
+            lo = hi
+        pair, tick = np.divmod(np.concatenate(found), rows)
+        ticks.append(tick + c0)
+        pairs.append(pair)
     return np.concatenate(ticks), np.concatenate(pairs)
 
 
 def generate(params: RwpParams) -> ContactTrace:
     """Simulate and return the contact trace (deterministic per seed)."""
     iu, ju = np.triu_indices(params.node_count, k=1)
-    tick, pair = _transitions(params, iu, ju)
+    tick, pair = _transitions(params)
     order, first = groups(pair, tick)
     tick, pair = tick[order], pair[order]
     # Each pair's transitions alternate up, down, ...: an up is the odd-numbered
@@ -211,8 +239,14 @@ def generate(params: RwpParams) -> ContactTrace:
     closed = (up + 1 < len(pair)) & (pair[nxt] == pair[up])
     down_tick = np.where(closed, tick[nxt], params.tick_count - 1)
     a, b = iu[pair[up]], ju[pair[up]]
-    start, end = ((t * params.tick).tolist() for t in (tick[up], down_tick))
-    start, end = (np.array(list(map(round, t, repeat(params.decimals)))) for t in (start, end))
+    # one round per distinct tick: far fewer than the event times
+    at = np.concatenate((tick[up], down_tick))
+    order, first = groups(at)
+    rounded = list(map(round, (at[order[first]] * params.tick).tolist(),
+                       repeat(params.decimals)))
+    times = np.empty(len(at))
+    times[order] = np.array(rounded)[np.cumsum(first) - 1]
+    start, end = times[:len(up)], times[len(up):]
     keep = start < end  # a contact still open closes at the final tick, unless it opened there
     trace = ContactTrace(tuple(range(params.node_count)), a[keep], b[keep], start[keep],
                          end[keep], 0.0, float(params.duration))

@@ -10,7 +10,7 @@ contacts of a one-window :class:`SnapshotSequence`, and every metric reads
 its columns. One ``temporal_metrics.shortest_journeys`` sweep, on one window
 Brandes' algorithm, gives the betweenness and the hop matrix (-1 for
 unreachable pairs) that the distances and closeness read. A self-contact
-row stays an edge u -> u, on no shortest path and counted once in degree.
+row stays an edge u -> u, on no shortest path and no link in degree.
 Callers clip the trace to a period before aggregating.
 """
 
@@ -82,10 +82,10 @@ def static_average_distance(g: AggregatedGraph) -> float:
 
 
 def degree(g: AggregatedGraph, i: int) -> int:
-    """Raw link count of node i."""
+    """Raw link count of node i: its edges to other nodes."""
     c = column_of(g.window.nodes, i)
     _, a, b = g.window.contacts.T
-    return int(np.count_nonzero((a == c) | (b == c)))
+    return int(np.count_nonzero(((a == c) | (b == c)) & (a != b)))
 
 
 def degree_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
@@ -115,11 +115,12 @@ def betweenness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
 
 
 def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
-    """degree_centrality of every node in one pass (a self-loop counts once)."""
+    """degree_centrality of every node in one pass (a self-loop is no link)."""
     if g.n < 2:
         raise ValueError("degree centrality needs at least 2 nodes")
     _, a, b = g.window.contacts.T
-    links = np.bincount(np.concatenate([a, b[a != b]]), minlength=g.n).tolist()
+    link = a != b
+    links = np.bincount(np.concatenate([a[link], b[link]]), minlength=g.n).tolist()
     return [CentralityScore(i, k / (g.n - 1)) for i, k in zip(g.window.nodes, links)]
 
 

@@ -35,7 +35,7 @@ from dtnmetrics.ingestion import (
     ParseWarning,
     TextSource,
 )
-from dtnmetrics.rwp_gen import build_tracks, positions_at
+from dtnmetrics.rwp_gen import positions_at
 
 
 def placed_edges(trace, period, w):
@@ -289,7 +289,7 @@ def betweenness(snapshots):
                     if node in (source, target):
                         continue
                     credit[node] += share
-    norm = (n - 1) * (n - 2) * W
+    norm = max(1, (n - 1) * (n - 2) * W)  # below three nodes every score is 0
     return {v: credit[v] / norm for v in nodes}
 
 
@@ -546,12 +546,43 @@ def journey_hops(snapshots):
 _CHUNK_TICKS = 20000  # bounds position-buffer memory for long runs
 
 
+def waypoint_track(rng: np.random.Generator, p):
+    """Breakpoint arrays (t, x, y) for one node's piecewise-linear path,
+    drawn one leg at a time: dest x, dest y, speed, then pause."""
+    times = [0.0]
+    xs = [rng.uniform(0.0, p.area_width)]
+    ys = [rng.uniform(0.0, p.area_height)]
+    t = 0.0
+    while t <= p.duration:
+        dest_x = rng.uniform(0.0, p.area_width)
+        dest_y = rng.uniform(0.0, p.area_height)
+        speed = rng.uniform(p.speed_min, p.speed_max)
+        dist = float(np.hypot(dest_x - xs[-1], dest_y - ys[-1]))
+        t += max(dist / speed, 1e-9)
+        times.append(t)
+        xs.append(dest_x)
+        ys.append(dest_y)
+        pause = rng.uniform(0.0, p.pause_max) if p.pause_max > 0 else 0.0
+        if pause > 0:
+            t += pause
+            times.append(t)
+            xs.append(dest_x)
+            ys.append(dest_y)
+    return np.asarray(times), np.asarray(xs), np.asarray(ys)
+
+
+def waypoint_tracks(params):
+    """Every node's track, the nodes drawing in turn from one seeded generator."""
+    rng = np.random.default_rng(params.seed)
+    return [waypoint_track(rng, params) for _ in range(params.node_count)]
+
+
 def rwp_events(params):
     """The random-waypoint contacts of ``params`` in trace order, found one
     tick at a time: the in-range flags of every pair at tick k are compared
     with those at tick k - 1, and an open contact is kept in a dict until its
     pair leaves range."""
-    tracks = build_tracks(params)
+    tracks = waypoint_tracks(params)
     n = params.node_count
     range_sq = params.range * params.range
     iu, ju = np.triu_indices(n, k=1)

@@ -371,6 +371,11 @@ class TestBuildReport:
         with pytest.raises(InputError, match="at least 2 nodes"):
             build_report(trace, AnalysisPeriod(0, 10), w=5)
 
+    def test_self_contact_is_no_degree_link(self):
+        trace = ContactTrace.from_events([ContactEvent(0, 1, 0, 1), ContactEvent(1, 1, 2, 3)])
+        report = build_report(trace, AnalysisPeriod(0, 10), w=10)
+        assert report.top_degree == (0, 1.0)  # both nodes have one link; ties go to the lower id
+
     def test_two_node_period_skips_betweenness(self, six_node_trace):
         report = build_report(six_node_trace, AnalysisPeriod(640, 670), w=30)
         assert report.total_nodes == 2

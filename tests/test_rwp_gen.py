@@ -1,3 +1,6 @@
+import hashlib
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -57,7 +60,54 @@ class TestRwpParams:
             small_params(**overrides)
 
 
+def assert_tracks_equal(got, want):
+    assert len(got) == len(want)
+    for node_got, node_want in zip(got, want):
+        for a, b in zip(node_got, node_want):  # t, x, y
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def track_cases(draw):
+    """Track parameters and a batch size. A 1 m area crossed at 1e10 m/s
+    makes every leg take the 1e-9 s floor; a duration scaled down to 1e-12
+    of a leg's travel time ends inside the first leg."""
+    area = draw(st.sampled_from((1.0, 60.0, 1000.0)))
+    speed_max = draw(st.sampled_from((0.5, 20.0, 1e10)))
+    travel = max(area / speed_max, 1e-9)
+    params = RwpParams(
+        node_count=draw(st.integers(2, 4)),
+        duration=travel * draw(st.sampled_from((1e-12, 0.5, 3.0, 40.0))) * draw(st.floats(0.5, 2.0)),
+        area_width=area,
+        area_height=draw(st.sampled_from((area, 1.0))),
+        speed_min=draw(st.sampled_from((speed_max, speed_max / 3))),
+        speed_max=speed_max,
+        pause_max=draw(st.sampled_from((0.0, 1e-3, travel, 120.0))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return params, draw(st.integers(1, 40))
+
+
 class TestTracks:
+    @settings(max_examples=200, deadline=None)
+    @given(track_cases())
+    def test_matches_per_leg_oracle(self, case):
+        params, batch = case
+        with mock.patch.object(rwp_gen, "_LEGS_PER_DRAW", batch):
+            assert_tracks_equal(build_tracks(params), oracles.waypoint_tracks(params))
+
+    @pytest.mark.parametrize("pause_max", [0.0, 20.0])
+    def test_leg_count_a_multiple_of_the_batch(self, pause_max):
+        p = small_params(duration=6000.0, pause_max=pause_max)
+        want = oracles.waypoint_tracks(p)
+        _, x, y = want[0]  # node 0's legs: its moves to a new point
+        legs = int(np.count_nonzero((np.diff(x) != 0) | (np.diff(y) != 0)))
+        batches = [b for b in range(1, legs + 1) if legs % b == 0]
+        assert len(batches) > 2
+        for batch in batches:
+            with mock.patch.object(rwp_gen, "_LEGS_PER_DRAW", batch):
+                assert_tracks_equal(build_tracks(p), want)
+
     def test_tracks_cover_duration(self):
         p = small_params()
         for t_arr, _, _ in build_tracks(p):
@@ -122,8 +172,8 @@ class TestGenerate:
 
 @st.composite
 def rwp_cases(draw):
-    """Parameters for the block scan and its block and chunk sizes in
-    elements, small enough that a run spans several blocks and chunks.
+    """Parameters for the chunked scan, its block size in elements and the
+    legs drawn per batch, small enough that a run spans several chunks.
 
     An area of 1 with fast nodes flips contacts on consecutive ticks; a
     range of 1.5 x the area's side keeps every pair in range from tick 0
@@ -144,16 +194,16 @@ def rwp_cases(draw):
         seed=draw(st.integers(0, 2**32)),
         tick=tick,
     )
-    return params, draw(st.integers(1, 300)), draw(st.integers(1, 3000))
+    return params, draw(st.integers(1, 300)), draw(st.integers(1, 40))
 
 
 class TestBlockScan:
     @settings(max_examples=150, deadline=None)
     @given(rwp_cases())
     def test_matches_per_tick_oracle(self, case):
-        params, block, chunk = case
+        params, block, batch = case
         with mock.patch.object(rwp_gen, "_BLOCK_ELEMENTS", block), \
-                mock.patch.object(rwp_gen, "_CHUNK_ELEMENTS", chunk):
+                mock.patch.object(rwp_gen, "_LEGS_PER_DRAW", batch):
             got = generate(params).events
         assert got == oracles.rwp_events(params)
 
@@ -165,8 +215,8 @@ class TestBlockScan:
         assert events == oracles.rwp_events(p)
 
     def test_default_block_size_matches_oracle(self):
-        p = small_params(node_count=12, duration=3000.3, tick=1.0)
-        assert p.tick_count > 3 * (rwp_gen._BLOCK_ELEMENTS // 66)  # 66 pairs
+        p = small_params(node_count=40, duration=6000.3, tick=1.0)
+        assert p.tick_count > 3 * (rwp_gen._BLOCK_ELEMENTS // 39)  # ticks per chunk
         assert generate(p).events == oracles.rwp_events(p)
 
 
@@ -238,3 +288,30 @@ class TestWorkBound:
                          "--area-width", "1", "--area-height", "1", "--speed-min", "1e6",
                          "--speed-max", "1e6", "--pause-max", "0"]) == EXIT_USAGE
         assert "too large" in capsys.readouterr().err
+
+
+# perfbench/run.py's generate command, less its seed, format and output.
+BENCH_GENERATE = ["generate", "--nodes", "60", "--duration", "3000", "--area-width", "250",
+                  "--area-height", "250", "--range", "40", "--tick", "1"]
+BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
+# sha256 of that command's output where perfbench/baseline.json records none.
+GENERATE_SHA256 = {
+    (1, "common"): "95efe6cb4ec1fb8e0c2e97a0982656d2f350469405cc5bdfbdcf57b670401284",
+    (2, "one"): "ed4d0396aaaa1b3dd37667db1909c5ad76e5501058f7bae738d71989e00d34a5",
+    (2, "common"): "46a78b40d8a6894c34ea87a23f1275a7b23a02c32643f13396228e8702d192a8",
+    (3, "one"): "61b7b60181b7b40244f026b10319c942df7360041918b3718d92e545097c8aa1",
+    (3, "common"): "3a7c31778d1ae5fb7cbc287916b8c4a3ffcd3d81d48245f3758f9b4a9f3ccfd2",
+}
+
+
+@pytest.mark.parametrize("seed, fmt", [(1, "one"), *GENERATE_SHA256])
+def test_generate_bytes_pinned(tmp_path, seed, fmt):
+    out = tmp_path / f"rwp.{fmt}"
+    assert main([*BENCH_GENERATE, "--seed", str(seed), "--format", fmt,
+                 "--output", str(out)]) == 0
+    if (seed, fmt) == (1, "one"):  # the fingerprint every benchmark run checks
+        fingerprints = json.loads(BASELINE.read_text(encoding="utf-8"))["fingerprints"]
+        want = fingerprints["synth-days"]["1"]["generate"]
+    else:
+        want = GENERATE_SHA256[seed, fmt]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want

@@ -215,8 +215,11 @@ def assert_matches_networkx(g: AggregatedGraph) -> None:
         with pytest.raises(ValueError):
             static_average_distance(g)
     assert static_diameter(g) == max(max(row.values()) for row in lengths.values())
-    # the one-pass degrees count a self-loop once, as degree() does
-    assert degree_centrality_all(g) == [degree_centrality(g, v) for v in sorted(g.nodes)]
+    # a self-loop is no link, in the one pass and in degree() alike
+    want = [CentralityScore(v, len(set(graph[v]) - {v}) / (len(g.nodes) - 1))
+            for v in sorted(g.nodes)]
+    assert degree_centrality_all(g) == want
+    assert [degree_centrality(g, v) for v in sorted(g.nodes)] == want
     want = nx.closeness_centrality(graph, wf_improved=True)
     assert closeness_centrality_all(g) == [CentralityScore(v, want[v]) for v in sorted(g.nodes)]
     for v in g.nodes:
