@@ -108,7 +108,7 @@ def build_report(
 
 def _top_cell(scores: list[temporal_metrics.CentralityScore]) -> tuple[int, float]:
     """The (node, value) report cell of the top-ranked score."""
-    top = temporal_metrics.rank_nodes(scores)[0]
+    top = min(scores, key=temporal_metrics.rank_key)
     return top.node, top.value
 
 

@@ -38,7 +38,7 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, group_cumsum, groups
+from .trace_model import AnalysisPeriod, ContactTrace, group_cummax, group_cumsum, groups
 
 TextSource = Union[str, IO[str], Iterable[str]]
 # Lines the parsers read, and rows the writers format, at once.
@@ -209,23 +209,15 @@ def _merge_pair_overlaps(trace: ContactTrace) -> ContactTrace:
     pair's first or starts at or after the latest end of its pair's rows
     before it.
     """
-    order, first = trace._by_pair()
+    order, first = trace._by_pair(trace.end, trace.start)
     end = trace.end[order]
-    first[1:] |= trace.start[order[1:]] >= _running_max(end, first)[:-1]
+    first[1:] |= trace.start[order[1:]] >= group_cummax(end, first)[:-1]
     runs = np.flatnonzero(first)
     rows = order[runs]
     merged = replace(trace, a=trace.a[rows], b=trace.b[rows], start=trace.start[rows],
                      end=np.maximum.reduceat(end, runs))
+    del order, first, end, runs, rows  # free the pair-ordered rows before the time sort
     return merged._time_ordered()
-
-
-def _running_max(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The running max of ``values`` within each group of rows that ``first``
-    opens: a running max of value ranks offset by group, so that no group
-    reads an earlier group's values."""
-    ordered = np.sort(values)
-    rank = np.searchsorted(ordered, values) + (np.cumsum(first) - 1) * len(values)
-    return ordered[np.maximum.accumulate(rank) % len(values)]
 
 
 def parse_common_format(
@@ -280,7 +272,7 @@ def _recount(lines, a, b, n, start, values, count, gap) -> Iterator[ParseWarning
     """Warnings, in line order, for the rows whose occurrence count
     (``values[count]``) or inter-contact time ``gap`` differs from the one
     their pair's earlier rows give; ``a`` and ``b`` are below ``n``."""
-    order, first = groups(np.minimum(a, b) * n + np.maximum(a, b))
+    order, first = groups(_pair_key(a, b, n))
     expected_count, expected_gap = np.empty(len(order), np.int64), np.empty(len(order))
     expected_count[order], expected_gap[order] = _occurrences(start[order], first)
     wrong_gap = np.abs(gap - expected_gap) > 1e-9
@@ -357,7 +349,7 @@ def _fifo_contacts(ids: list[int], error: Optional[ParseError], notes: list[Pars
     error: before ``error``, a down with no open up or one timed before the
     up it closes; the ``notes`` of the rows before it go to ``warnings``."""
     events = np.flatnonzero(conn)
-    order, first = groups((np.minimum(n1, n2) * len(ids) + np.maximum(n1, n2))[events])
+    order, first = groups(_pair_key(n1[events], n2[events], len(ids)))
     order = events[order]
     opening = up[order] == 1
     open_ups = group_cumsum(np.where(opening, 1, -1), first)
@@ -388,7 +380,7 @@ def _fifo_contacts(ids: list[int], error: Optional[ParseError], notes: list[Pars
         # Report the open ups pair by pair, in the order of each pair's first up.
         pair = (np.cumsum(first) - 1)[opening]
         first_up = np.minimum.reduceat(np.where(opening, order, len(t)), np.flatnonzero(first))
-        unclosed = unclosed[np.lexsort((unclosed, first_up[pair[left_open]]))]
+        unclosed = unclosed[groups(first_up[pair[left_open]], unclosed)[0]]
     downs = np.flatnonzero(conn & (up == 0))
     last = float(t[np.argmax(t)]) if len(t) else 0.0
     if warnings is not None:
@@ -401,6 +393,11 @@ def _fifo_contacts(ids: list[int], error: Optional[ParseError], notes: list[Pars
         raise ParseError("no events" if len(t) else "empty input, no events")
     return (n1[rows], n2[rows], np.concatenate([start[downs], t[unclosed]]),
             np.concatenate([t[downs], np.full(len(unclosed), last)]))
+
+
+def _pair_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """One key per unordered pair of the columns ``a`` and ``b``, below ``n``."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
 
 
 def _pair(values: list[int], c1: int, c2: int) -> tuple[int, int]:
@@ -485,7 +482,7 @@ def write_common_format(trace: ContactTrace) -> str:
     Occurrence counts and inter-contact times are freshly derived;
     parse_common_format(write_common_format(t)) reproduces t's events.
     """
-    order, first = trace._by_pair()
+    order, first = trace._by_pair(trace.end, trace.start)
     a, b, start, end = (x[order] for x in (trace.a, trace.b, trace.start, trace.end))
     occ, inter = _occurrences(start, first)
     ids = np.array(trace.labels, dtype=object)
@@ -498,7 +495,7 @@ def write_one_report(trace: ContactTrace) -> str:
     an up before a down at equal times, otherwise in event order."""
     times = np.concatenate([trace.start, trace.end])
     # Every up precedes every down here, so a stable sort by time is enough.
-    order = np.argsort(times, kind="stable")
+    order, _ = groups(times)
     down, row = np.divmod(order, len(trace))
     ids, kind = np.array(trace.labels, dtype=object), np.array(["up", "down"], dtype=object)
     rows = _blocks("{} CONN {} {} {}", times[order], ids[trace.a[row]], ids[trace.b[row]],

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of
+from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of, groups
 from .windowing import SnapshotSequence, build_snapshots
 
 #: Matrix export encoding for temporally disconnected pairs.
@@ -263,10 +263,16 @@ def temporal_distance_exact(
     return best
 
 
+def rank_key(score: CentralityScore) -> tuple[float, int]:
+    """The sort key of :func:`rank_nodes`: descending by value, ties broken by
+    ascending node id. Values (all in [0, 1]) are compared at 12 decimals, so
+    summation order splits no tie."""
+    return -round(score.value, 12), score.node
+
+
 def rank_nodes(scores: list[CentralityScore]) -> list[CentralityScore]:
-    """Descending by value, ties broken by ascending node id. Values (all in
-    [0, 1]) are compared at 12 decimals, so summation order splits no tie."""
-    return sorted(scores, key=lambda s: (-round(s.value, 12), s.node))
+    """The scores in :func:`rank_key` order."""
+    return sorted(scores, key=rank_key)
 
 
 def temporal_betweenness(snapshots: SnapshotSequence, i: int) -> CentralityScore:
@@ -298,7 +304,7 @@ def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore
     nodes, W = snapshots.nodes, snapshots.window_count
     n = len(nodes)
     first = snapshots.next_occurrence[0]  # W where a node never occurs
-    sources = np.argsort(first, kind="stable")[: np.count_nonzero(first < W)]
+    sources = groups(first)[0][: np.count_nonzero(first < W)]
     credit = np.zeros(n)
     hops = np.where(np.eye(n, dtype=bool), 0, UNREACHABLE_SENTINEL)
     # blocks of rows x busiest-window directed edges <= _BLOCK_ELEMENTS (contacts by window)

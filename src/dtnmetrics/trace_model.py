@@ -7,10 +7,18 @@ columns ``start[k] <= end[k]``, rows sorted by (start, end, a, b). Every
 stage reads the columns; :class:`ContactEvent` is the row view, and
 :func:`column_of` the one lookup from a node id to its column.
 
-Every stage that groups rows (by node pair, or by window and pair) does it
-with :func:`groups`, one stable sort and a mask of each group's first row,
-and sums within groups with :func:`group_cumsum`. A node pair is one intp
-key ``lo * n + hi``, its columns being below ``n``.
+Every row ordering goes through one int64 key per row: each key column
+becomes ranks (an integer column with fewer distinct values than rows is
+its own ranks, any other gets dense ranks from one argsort), the ranks
+combine into one key, ranked afresh before it would pass m^2 for m rows,
+and one default-kind sort of that key times m plus the row index gives
+the stable order ``np.lexsort`` would (a key of distinct values needs
+only its argsort); below ``_LEXSORT_ROWS`` rows the order is
+``np.lexsort``'s own. Stages group rows (by node pair, say) with
+:func:`groups`, that order and a mask of each group's first row, and take
+running sums and maxima within groups with :func:`group_cumsum` and
+:func:`group_cummax`. A node pair is one intp key ``lo * n + hi``, its
+columns being below ``n``.
 
 All types are immutable after construction and safe to share across
 concurrent readers; the column arrays are read-only. Invariant checking
@@ -104,13 +112,14 @@ class ContactTrace:
 
     def _time_ordered(self) -> "ContactTrace":
         """This trace with its rows sorted by (start, end, a, b)."""
-        order = np.lexsort((self.b, self.a, self.end, self.start))
+        order = _order(self.start, self.end, self.a, self.b)
         return replace(self, a=self.a[order], b=self.b[order],
                        start=self.start[order], end=self.end[order])
 
-    def _by_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows grouped by pair in (a, b, start, end) order (see groups)."""
-        return groups(self.a * len(self.labels) + self.b, self.end, self.start)
+    def _by_pair(self, *ties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows grouped by pair in (a, b) order, equal pairs by ``ties``
+        (see groups)."""
+        return groups(self.a * len(self.labels) + self.b, *ties)
 
     @cached_property
     def nodes(self) -> frozenset[int]:
@@ -142,11 +151,99 @@ def groups(key: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows sorted by ``key``, equal keys by ``ties`` as ``np.lexsort``
     reads them (the last tie first) and then in row order; and along that
     order a mask of the first row of each distinct key."""
-    order = np.lexsort((*ties, key))
+    order = _order(key, *ties[::-1])
     key = key[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     return order, first
+
+
+#: Rows below which ``np.lexsort`` orders one to four keys faster than
+#: :func:`_order`'s int64 key (measured on a 2-CPU Xeon, numpy 2.4).
+_LEXSORT_ROWS = 1536
+
+
+def _order(*keys: np.ndarray) -> np.ndarray:
+    """The rows in ascending order of ``keys``, the first key most
+    significant and equal rows in row order: ``np.lexsort(keys[::-1])``.
+
+    Several keys become ranks (see :func:`_ranks`) that combine into one
+    int64 key, the first most significant. A key of ``size`` ranks that
+    would take one of ``count`` with ``size * count`` above m^2, for m
+    rows, is ranked afresh first, to at most m ranks; so no key exceeds
+    m^2, which is under 2^62 for m < 2^31. :func:`_row_order` sorts the
+    one key that is left. Below ``_LEXSORT_ROWS`` rows the order is
+    ``np.lexsort``'s own.
+    """
+    m = len(keys[0])
+    if m < _LEXSORT_ROWS:
+        return np.lexsort(keys[::-1])
+    key = keys[0]
+    if len(keys) > 1:
+        key, size = _ranks(key)
+        for column in keys[1:]:
+            rank, count = _ranks(column)
+            if size * count > m * m:
+                key, size = _ranks(key)
+            key *= count
+            key += rank
+            size *= count
+            del rank  # before the next column's ranks are built
+    return _row_order(key)
+
+
+def _row_order(key: np.ndarray) -> np.ndarray:
+    """The stable order of the m rows of ``key``, from one default-kind sort
+    of an int64 key below m^2: an integer key of fewer distinct values than
+    rows, less its least value, times m plus the row index. Any other key
+    is argsorted; if equal keys follow each other there, the sorted key is
+    the rank of each run of them times m plus the row at that place."""
+    m = len(key)
+    if key.dtype.kind == "i" and _span(key) < m:
+        key, rows = np.subtract(key, key.min(), dtype=np.int64), np.arange(m)
+    else:
+        rows, new = _runs(key)
+        if new[1:].all():
+            return rows
+        key = np.cumsum(new, dtype=np.int64)
+    key *= m
+    key += rows
+    key.sort()
+    key %= m
+    return key
+
+
+def _ranks(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """Int64 ranks of the values of a nonempty ``column``, as ``np.lexsort``
+    compares them, and a count above every rank: an integer column of fewer
+    distinct values than rows less its least value, else dense ranks (see
+    :func:`_runs`) and the count of distinct values."""
+    m = len(column)
+    if column.dtype.kind == "i" and (span := _span(column)) < m:
+        return np.subtract(column, column.min(), dtype=np.int64), span + 1
+    order, new = _runs(column)
+    rank = np.empty(m, np.int64)
+    rank[order] = np.cumsum(new)
+    return rank, int(rank[order[-1]]) + 1
+
+
+def _span(column: np.ndarray) -> int:
+    """The greatest value of a nonempty integer column less its least."""
+    return int(column.max()) - int(column.min())
+
+
+def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The default-kind argsort of a nonempty ``column`` and, along it, a
+    mask of the values that differ from the one before, as ``np.lexsort``
+    compares them: -0.0 equals 0.0, and NaNs come last and equal."""
+    order = np.argsort(column)
+    ordered = column[order]
+    new = np.empty(len(column), bool)
+    new[0] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if ordered[-1] != ordered[-1]:  # NaNs are sorted last and are one value
+        new[np.argmax(ordered != ordered) + 1:] = False
+    return order, new
 
 
 def group_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -154,6 +251,18 @@ def group_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     total = np.cumsum(values)
     opener = np.maximum.accumulate(np.where(first, np.arange(len(first)), 0))
     return total - (total - values)[opener]
+
+
+def group_cummax(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The running max of ``values`` within each group of rows that ``first``
+    opens: a running max of value ranks offset by group, so that no group
+    reads an earlier group's values (the offset ranks stay below m^2)."""
+    if not len(values):
+        return values.copy()
+    rank, count = _ranks(values)
+    value = np.empty(count, values.dtype)
+    value[rank] = values
+    return value[np.maximum.accumulate(rank + (np.cumsum(first) - 1) * count) % count]
 
 
 @dataclass(frozen=True)

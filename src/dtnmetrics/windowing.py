@@ -95,7 +95,7 @@ class SnapshotSequence:
             np.minimum.at(label, lv, lu)
             while not np.array_equal(label, label[label]):
                 label = label[label]
-        order, win = np.argsort(label, kind="stable"), keys // n  # windows stay in order
+        order, win = groups(label)[0], keys // n  # windows stay in order
         first = np.r_[0, np.cumsum(np.bincount(win, minlength=count))]
         local = np.empty_like(order)
         local[order] = np.arange(len(order)) - first[win]
@@ -209,15 +209,20 @@ def build_snapshots(
     k = np.floor((np.stack([start, end])[:, inside] - period.t_min) / w + 1e-9)
     k0, k1 = np.clip(k, 0, count - 1).astype(np.intp)
     spans = np.maximum(k1 - k0 + 1, 0)
-    # one row per event per window it intersects, then sorted and de-duplicated
+    # one key (window * n + a) * n + b per event per window it intersects,
+    # sorted and de-duplicated, then decoded
     window = np.repeat(k0 - np.cumsum(spans) + spans, spans) + np.arange(spans.sum())
-    a, b = np.repeat(trace.a[inside], spans), np.repeat(trace.b[inside], spans)
     n = len(trace.labels)
-    order, first = groups((window * n + a) * n + b)
-    rows = order[first]
+    key = (window * n + np.repeat(trace.a[inside], spans)) * n
+    key += np.repeat(trace.b[inside], spans)
+    del window
+    key.sort()
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    window, pair = np.divmod(key[first], n * n)
     return SnapshotSequence(
         window_width=float(w),
         window_count=count,
-        contacts=np.stack([window[rows], a[rows], b[rows]], axis=1),
+        contacts=np.stack([window, *np.divmod(pair, n)], axis=1),
         nodes=trace.labels,
     )

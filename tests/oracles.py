@@ -12,13 +12,16 @@ fixpoint, journey hops by a breadth-first search per window and source,
 random-waypoint contacts by one scan step per tick, the trace writers by
 sorting one Python row per line, the parsers by one Python step per line,
 and the overlap merge, the period clip and the pair aggregates by one
-ContactEvent at a time. Two are earlier builds kept as references: the
-window graphs cut from flat arrays by ``np.split``, and the distance
-matrix text built one entry at a time.
+ContactEvent at a time. Four are earlier builds kept as references: the
+window graphs cut from flat arrays by ``np.split``, the distance matrix
+text built one entry at a time, and the time order, overlap merge and
+period clip sorted by ``np.lexsort`` (the merge's running max from
+``np.searchsorted`` ranks).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -685,6 +688,47 @@ def clip_to_period(trace, period):
             )
         )
     return ContactTrace.from_events(clipped, span=(period.t_min, period.t_max))
+
+
+def lexsort_time_ordered(trace):
+    """``ContactTrace._time_ordered`` as it was built on ``np.lexsort``."""
+    order = np.lexsort((trace.b, trace.a, trace.end, trace.start))
+    return dataclasses.replace(trace, a=trace.a[order], b=trace.b[order],
+                               start=trace.start[order], end=trace.end[order])
+
+
+def lexsort_merge_pair_overlaps(trace):
+    """``ingestion._merge_pair_overlaps`` as it was built on ``np.lexsort``
+    and a running max of ``np.searchsorted`` ranks."""
+    key = trace.a * len(trace.labels) + trace.b
+    order = np.lexsort((trace.end, trace.start, key))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[order][1:] != key[order][:-1]
+    end = trace.end[order]
+    ordered = np.sort(end)
+    rank = np.searchsorted(ordered, end) + (np.cumsum(first) - 1) * len(end)
+    first[1:] |= trace.start[order[1:]] >= ordered[np.maximum.accumulate(rank) % len(end)][:-1]
+    runs = np.flatnonzero(first)
+    rows = order[runs]
+    merged = dataclasses.replace(trace, a=trace.a[rows], b=trace.b[rows],
+                                 start=trace.start[rows], end=np.maximum.reduceat(end, runs))
+    return lexsort_time_ordered(merged)
+
+
+def lexsort_clip_to_period(trace, period):
+    """``ingestion.clip_to_period`` as it was built on ``np.lexsort``."""
+    keep = (trace.end >= period.t_min) & (trace.start <= period.t_max)
+    a, b = trace.a[keep], trace.b[keep]
+    used = np.zeros(len(trace.labels), dtype=bool)
+    used[a] = used[b] = True
+    nodes = sorted(np.flatnonzero(used).tolist(), key=trace.labels.__getitem__)
+    column = np.empty(len(trace.labels), np.intp)
+    column[nodes] = np.arange(len(nodes))
+    clipped = ContactTrace(tuple(map(trace.labels.__getitem__, nodes)), column[a], column[b],
+                           np.maximum(trace.start[keep], period.t_min),
+                           np.minimum(trace.end[keep], period.t_max),
+                           float(period.t_min), float(period.t_max))
+    return lexsort_time_ordered(clipped)
 
 
 def pair_aggregates(trace):

@@ -591,6 +591,33 @@ class TestImportHygiene:
         assert missing == []
 
 
+class TestSortHygiene:
+    def test_rows_are_ordered_only_by_the_one_primitive(self):
+        # every row ordering goes through trace_model._order, whose small
+        # inputs alone take np.lexsort; no stable argsort is left anywhere
+        package = Path(dtnmetrics.__file__).resolve().parent
+        found, primitives = [], 0
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside = set()
+            for node in ast.walk(tree):
+                if (path.name == "trace_model.py" and isinstance(node, ast.FunctionDef)
+                        and node.name == "_order"):
+                    primitives += 1
+                    inside.update(map(id, ast.walk(node)))
+            for node in ast.walk(tree):
+                if id(node) in inside:
+                    continue
+                if (isinstance(node, ast.Attribute) and node.attr == "lexsort"
+                        or isinstance(node, ast.Name) and node.id == "lexsort"):
+                    found.append(f"{path.name}:{node.lineno}: lexsort")
+                if (isinstance(node, ast.keyword) and node.arg == "kind"
+                        and isinstance(node.value, ast.Constant) and node.value.value == "stable"):
+                    found.append(f'{path.name}:{node.value.lineno}: kind="stable"')
+        assert primitives == 1
+        assert found == []
+
+
 class TestColumnarTrace:
     @staticmethod
     def commands(tmp_path, six_node_file):

@@ -2,6 +2,8 @@ import io
 import random
 from unittest import mock
 
+import numpy as np
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from dtnmetrics import (
     write_common_format,
     write_one_report,
 )
-from dtnmetrics import ingestion
+from dtnmetrics import ingestion, trace_model
 from dtnmetrics.ingestion import _BLOCK_ROWS, _PIECE, _merge_pair_overlaps
 
 from . import oracles
@@ -375,6 +377,50 @@ class TestColumnStagesMatchOracles:
         clipped = clip_to_period(trace, period)
         for t in (trace, _drawn_order(events), clipped):
             assert pair_aggregates(t) == oracles.pair_aggregates(t)
+
+
+# Negative and fractional times, -0.0 next to 0, so that starts and ends tie.
+TIMES = np.array([-7.5, -3.25, -1, -0.5, -0.0, 0, 0.1, 0.2, 0.3, 1.7, 2, 4.5])
+
+
+@st.composite
+def column_traces(draw):
+    """Unsorted trace columns among 2-12 nodes, a few rows or over a thousand,
+    on the ``TIMES`` grid, and a period on it, its t_min often negative."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(2, 12)), draw(st.integers(1, 60) | st.integers(1024, 1600))
+    a = rng.integers(0, n, m)
+    b = rng.integers(0, n - 1, m)
+    b += b >= a
+    start = rng.choice(TIMES, m)
+    end = start + rng.choice([0, 0.1, 0.3, 1, 2.9, 6], m)
+    trace = ContactTrace(tuple(range(n)), np.minimum(a, b), np.maximum(a, b), start, end,
+                         float(start.min()), float(end.max()))
+    t_min, t_max = sorted(rng.choice(np.unique(TIMES), 2, replace=False).tolist())
+    return trace, AnalysisPeriod(t_min, t_max)
+
+
+def _same_bytes(got: ContactTrace, want: ContactTrace) -> None:
+    assert got.labels == want.labels
+    assert (got.span_min, got.span_max) == (want.span_min, want.span_max)
+    for name in ("a", "b", "start", "end"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestStagesMatchLexsortCode:
+    """The time order, overlap merge and period clip equal the ``np.lexsort``
+    and ``np.searchsorted`` builds they replace, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_traces(), st.sampled_from([1, trace_model._LEXSORT_ROWS]))
+    def test_time_order_merge_and_clip(self, drawn, rows):
+        trace, period = drawn
+        with mock.patch.object(trace_model, "_LEXSORT_ROWS", rows):
+            _same_bytes(trace._time_ordered(), oracles.lexsort_time_ordered(trace))
+            _same_bytes(_merge_pair_overlaps(trace), oracles.lexsort_merge_pair_overlaps(trace))
+            ordered = trace._time_ordered()
+            _same_bytes(clip_to_period(ordered, period),
+                        oracles.lexsort_clip_to_period(ordered, period))
 
 
 class TestRoundTrips:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from dtnmetrics import (
     WindowConfig,
     validate_trace,
 )
-from dtnmetrics.trace_model import group_cumsum, groups
+from dtnmetrics import trace_model
+from dtnmetrics.trace_model import group_cummax, group_cumsum, groups
 
 
 class TestContactEvent:
@@ -188,3 +191,90 @@ class TestGroups:
         order, first = groups(np.array([], np.intp), np.array([], float))
         assert order.tolist() == [] and first.tolist() == []
         assert group_cumsum(np.array([], np.int64), first).tolist() == []
+
+
+# Pools of values that tie: ints at the int64 bounds and near +-2^62, whose
+# ranges no int64 key of m rows can hold, and floats with -0.0 next to 0.0,
+# +-inf and NaN of either sign.
+_WIDE = np.array([2**62, 2**62 - 1, 2**62 + 1, -2**62, 2**63 - 1, -2**63, 0, -1], np.int64)
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.25])
+
+
+@st.composite
+def _keys(draw):
+    """One to four key columns of one length: empty, one row, a few rows or
+    over a thousand; each of small ints (negative ones too), wide ints,
+    special floats, or distinct fractional floats."""
+    m = draw(st.sampled_from([0, 1]) | st.integers(2, 40) | st.integers(1000, 2600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = []
+    for kind in draw(st.lists(st.sampled_from(["small", "wide", "special", "distinct"]),
+                              min_size=1, max_size=4)):
+        if kind == "small":
+            bound = draw(st.integers(0, 3000))
+            keys.append(rng.integers(-bound, bound + 1, m))
+        elif kind == "distinct":
+            keys.append(rng.permutation(m) * 0.25 - 7.0)
+        else:
+            pool = _WIDE if kind == "wide" else _SPECIAL
+            keys.append(rng.choice(pool[:draw(st.integers(1, len(pool)))], m))
+    return keys
+
+
+class TestOrder:
+    @settings(max_examples=400, deadline=None)
+    @given(_keys(), st.sampled_from([1, 2, trace_model._LEXSORT_ROWS]))
+    def test_is_lexsort_of_the_reversed_keys(self, keys, rows):
+        # rows: below it the order is np.lexsort's own; 1 and 2 take the int64 key
+        with mock.patch.object(trace_model, "_LEXSORT_ROWS", rows):
+            got = trace_model._order(*keys)
+        assert got.tolist() == np.lexsort(keys[::-1]).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_keys())
+    def test_no_key_it_builds_reaches_m_squared(self, keys):
+        # every key _order builds is ranked afresh or sorted; none is m^2 or more
+        m, seen = len(keys[0]), []
+
+        def spy(real):
+            def call(column):
+                if not any(column is key for key in keys):
+                    seen.append(column)
+                return real(column)
+            return call
+
+        with mock.patch.object(trace_model, "_LEXSORT_ROWS", 1), \
+                mock.patch.object(trace_model, "_ranks", spy(trace_model._ranks)), \
+                mock.patch.object(trace_model, "_row_order", spy(trace_model._row_order)):
+            got = trace_model._order(*keys)
+        assert got.tolist() == np.lexsort(keys[::-1]).tolist()
+        assert all(0 <= key.min() and key.max() < m * m for key in seen)
+        if len(keys) > 1 and m:
+            assert seen  # the combined key is sorted
+
+    @settings(max_examples=200, deadline=None)
+    @given(_keys())
+    def test_ranks_order_as_the_values(self, keys):
+        column = keys[0]
+        if not len(column):
+            return
+        rank, count = trace_model._ranks(column)
+        assert rank.dtype == np.int64 and 0 <= rank.min() and rank.max() < count
+        assert count <= len(column)
+        assert np.lexsort((rank,)).tolist() == np.lexsort((column,)).tolist()
+        # equal values (NaNs with NaNs) share a rank
+        for r, v in zip(rank[:50].tolist(), column[:50].tolist()):
+            same = np.isnan(column) if v != v else column == v
+            assert set(rank[same].tolist()) == {r}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_columns())
+    def test_group_cummax_is_a_running_max_per_group(self, drawn):
+        key, _, values = drawn
+        order, first = groups(np.array(key, np.intp))
+        got = group_cummax(np.array(values, float)[order], first)
+        running, want = {}, []
+        for r in order.tolist():
+            running[key[r]] = max(running.get(key[r], values[r]), values[r])
+            want.append(running[key[r]])
+        assert got.tolist() == want
