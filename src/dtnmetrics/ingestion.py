@@ -38,7 +38,8 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, group_cummax, group_cumsum, groups
+from .trace_model import (AnalysisPeriod, ContactTrace, group_cummax, group_cumsum, groups,
+                          row_order)
 
 TextSource = Union[str, IO[str], Iterable[str]]
 # Lines the parsers read, and rows the writers format, at once.
@@ -380,7 +381,7 @@ def _fifo_contacts(ids: list[int], error: Optional[ParseError], notes: list[Pars
         # Report the open ups pair by pair, in the order of each pair's first up.
         pair = (np.cumsum(first) - 1)[opening]
         first_up = np.minimum.reduceat(np.where(opening, order, len(t)), np.flatnonzero(first))
-        unclosed = unclosed[groups(first_up[pair[left_open]], unclosed)[0]]
+        unclosed = unclosed[row_order(first_up[pair[left_open]], unclosed)]
     downs = np.flatnonzero(conn & (up == 0))
     last = float(t[np.argmax(t)]) if len(t) else 0.0
     if warnings is not None:
@@ -495,7 +496,7 @@ def write_one_report(trace: ContactTrace) -> str:
     an up before a down at equal times, otherwise in event order."""
     times = np.concatenate([trace.start, trace.end])
     # Every up precedes every down here, so a stable sort by time is enough.
-    order, _ = groups(times)
+    order = row_order(times)
     down, row = np.divmod(order, len(trace))
     ids, kind = np.array(trace.labels, dtype=object), np.array(["up", "down"], dtype=object)
     rows = _blocks("{} CONN {} {} {}", times[order], ids[trace.a[row]], ids[trace.b[row]],

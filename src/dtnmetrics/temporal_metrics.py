@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of, groups
+from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of, row_order
 from .windowing import SnapshotSequence, build_snapshots
 
 #: Matrix export encoding for temporally disconnected pairs.
@@ -304,7 +304,7 @@ def shortest_journeys(snapshots: SnapshotSequence) -> tuple[list[CentralityScore
     nodes, W = snapshots.nodes, snapshots.window_count
     n = len(nodes)
     first = snapshots.next_occurrence[0]  # W where a node never occurs
-    sources = groups(first)[0][: np.count_nonzero(first < W)]
+    sources = row_order(first)[: np.count_nonzero(first < W)]
     credit = np.zeros(n)
     hops = np.where(np.eye(n, dtype=bool), 0, UNREACHABLE_SENTINEL)
     # blocks of rows x busiest-window directed edges <= _BLOCK_ELEMENTS (contacts by window)

@@ -13,12 +13,11 @@ its own ranks, any other gets dense ranks from one argsort), the ranks
 combine into one key, ranked afresh before it would pass m^2 for m rows,
 and one default-kind sort of that key times m plus the row index gives
 the stable order ``np.lexsort`` would (a key of distinct values needs
-only its argsort); below ``_LEXSORT_ROWS`` rows the order is
-``np.lexsort``'s own. Stages group rows (by node pair, say) with
-:func:`groups`, that order and a mask of each group's first row, and take
-running sums and maxima within groups with :func:`group_cumsum` and
-:func:`group_cummax`. A node pair is one intp key ``lo * n + hi``, its
-columns being below ``n``.
+only its argsort): that is :func:`row_order`. Stages group rows (by
+node pair, say) with :func:`groups`, that order and a mask of each
+group's first row, and take running sums and maxima within groups with
+:func:`group_cumsum` and :func:`group_cummax`. A node pair is one intp
+key ``lo * n + hi``, its columns being below ``n``.
 
 All types are immutable after construction and safe to share across
 concurrent readers; the column arrays are read-only. Invariant checking
@@ -112,7 +111,7 @@ class ContactTrace:
 
     def _time_ordered(self) -> "ContactTrace":
         """This trace with its rows sorted by (start, end, a, b)."""
-        order = _order(self.start, self.end, self.a, self.b)
+        order = row_order(self.start, self.end, self.a, self.b)
         return replace(self, a=self.a[order], b=self.b[order],
                        start=self.start[order], end=self.end[order])
 
@@ -151,19 +150,14 @@ def groups(key: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows sorted by ``key``, equal keys by ``ties`` as ``np.lexsort``
     reads them (the last tie first) and then in row order; and along that
     order a mask of the first row of each distinct key."""
-    order = _order(key, *ties[::-1])
+    order = row_order(key, *ties[::-1])
     key = key[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     return order, first
 
 
-#: Rows below which ``np.lexsort`` orders one to four keys faster than
-#: :func:`_order`'s int64 key (measured on a 2-CPU Xeon, numpy 2.4).
-_LEXSORT_ROWS = 1536
-
-
-def _order(*keys: np.ndarray) -> np.ndarray:
+def row_order(*keys: np.ndarray) -> np.ndarray:
     """The rows in ascending order of ``keys``, the first key most
     significant and equal rows in row order: ``np.lexsort(keys[::-1])``.
 
@@ -171,13 +165,12 @@ def _order(*keys: np.ndarray) -> np.ndarray:
     int64 key, the first most significant. A key of ``size`` ranks that
     would take one of ``count`` with ``size * count`` above m^2, for m
     rows, is ranked afresh first, to at most m ranks; so no key exceeds
-    m^2, which is under 2^62 for m < 2^31. :func:`_row_order` sorts the
-    one key that is left. Below ``_LEXSORT_ROWS`` rows the order is
-    ``np.lexsort``'s own.
+    m^2, which is under 2^62 for m < 2^31. :func:`_key_order` sorts the
+    one key that is left.
     """
     m = len(keys[0])
-    if m < _LEXSORT_ROWS:
-        return np.lexsort(keys[::-1])
+    if not m:
+        return np.empty(0, np.intp)
     key = keys[0]
     if len(keys) > 1:
         key, size = _ranks(key)
@@ -189,10 +182,10 @@ def _order(*keys: np.ndarray) -> np.ndarray:
             key += rank
             size *= count
             del rank  # before the next column's ranks are built
-    return _row_order(key)
+    return _key_order(key)
 
 
-def _row_order(key: np.ndarray) -> np.ndarray:
+def _key_order(key: np.ndarray) -> np.ndarray:
     """The stable order of the m rows of ``key``, from one default-kind sort
     of an int64 key below m^2: an integer key of fewer distinct values than
     rows, less its least value, times m plus the row index. Any other key

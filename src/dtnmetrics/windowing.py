@@ -20,7 +20,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of, groups
+from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of, row_order
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class SnapshotSequence:
             np.minimum.at(label, lv, lu)
             while not np.array_equal(label, label[label]):
                 label = label[label]
-        order, win = groups(label)[0], keys // n  # windows stay in order
+        order, win = row_order(label), keys // n  # windows stay in order
         first = np.r_[0, np.cumsum(np.bincount(win, minlength=count))]
         local = np.empty_like(order)
         local[order] = np.arange(len(order)) - first[win]

@@ -593,8 +593,8 @@ class TestImportHygiene:
 
 class TestSortHygiene:
     def test_rows_are_ordered_only_by_the_one_primitive(self):
-        # every row ordering goes through trace_model._order, whose small
-        # inputs alone take np.lexsort; no stable argsort is left anywhere
+        # every row ordering goes through trace_model.row_order; no lexsort
+        # and no stable argsort is left anywhere
         package = Path(dtnmetrics.__file__).resolve().parent
         found, primitives = [], 0
         for path in sorted(package.glob("*.py")):
@@ -602,7 +602,7 @@ class TestSortHygiene:
             inside = set()
             for node in ast.walk(tree):
                 if (path.name == "trace_model.py" and isinstance(node, ast.FunctionDef)
-                        and node.name == "_order"):
+                        and node.name == "row_order"):
                     primitives += 1
                     inside.update(map(id, ast.walk(node)))
             for node in ast.walk(tree):

@@ -22,7 +22,7 @@ from dtnmetrics import (
     write_common_format,
     write_one_report,
 )
-from dtnmetrics import ingestion, trace_model
+from dtnmetrics import ingestion
 from dtnmetrics.ingestion import _BLOCK_ROWS, _PIECE, _merge_pair_overlaps
 
 from . import oracles
@@ -412,15 +412,14 @@ class TestStagesMatchLexsortCode:
     and ``np.searchsorted`` builds they replace, byte for byte."""
 
     @settings(max_examples=150, deadline=None)
-    @given(column_traces(), st.sampled_from([1, trace_model._LEXSORT_ROWS]))
-    def test_time_order_merge_and_clip(self, drawn, rows):
+    @given(column_traces())
+    def test_time_order_merge_and_clip(self, drawn):
         trace, period = drawn
-        with mock.patch.object(trace_model, "_LEXSORT_ROWS", rows):
-            _same_bytes(trace._time_ordered(), oracles.lexsort_time_ordered(trace))
-            _same_bytes(_merge_pair_overlaps(trace), oracles.lexsort_merge_pair_overlaps(trace))
-            ordered = trace._time_ordered()
-            _same_bytes(clip_to_period(ordered, period),
-                        oracles.lexsort_clip_to_period(ordered, period))
+        _same_bytes(trace._time_ordered(), oracles.lexsort_time_ordered(trace))
+        _same_bytes(_merge_pair_overlaps(trace), oracles.lexsort_merge_pair_overlaps(trace))
+        ordered = trace._time_ordered()
+        _same_bytes(clip_to_period(ordered, period),
+                    oracles.lexsort_clip_to_period(ordered, period))
 
 
 class TestRoundTrips:

@@ -13,7 +13,7 @@ from dtnmetrics import (
     validate_trace,
 )
 from dtnmetrics import trace_model
-from dtnmetrics.trace_model import group_cummax, group_cumsum, groups
+from dtnmetrics.trace_model import group_cummax, group_cumsum, groups, row_order
 
 
 class TestContactEvent:
@@ -223,17 +223,14 @@ def _keys(draw):
 
 class TestOrder:
     @settings(max_examples=400, deadline=None)
-    @given(_keys(), st.sampled_from([1, 2, trace_model._LEXSORT_ROWS]))
-    def test_is_lexsort_of_the_reversed_keys(self, keys, rows):
-        # rows: below it the order is np.lexsort's own; 1 and 2 take the int64 key
-        with mock.patch.object(trace_model, "_LEXSORT_ROWS", rows):
-            got = trace_model._order(*keys)
-        assert got.tolist() == np.lexsort(keys[::-1]).tolist()
+    @given(_keys())
+    def test_is_lexsort_of_the_reversed_keys(self, keys):
+        assert row_order(*keys).tolist() == np.lexsort(keys[::-1]).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(_keys())
     def test_no_key_it_builds_reaches_m_squared(self, keys):
-        # every key _order builds is ranked afresh or sorted; none is m^2 or more
+        # every key row_order builds is ranked afresh or sorted; none is m^2 or more
         m, seen = len(keys[0]), []
 
         def spy(real):
@@ -243,10 +240,9 @@ class TestOrder:
                 return real(column)
             return call
 
-        with mock.patch.object(trace_model, "_LEXSORT_ROWS", 1), \
-                mock.patch.object(trace_model, "_ranks", spy(trace_model._ranks)), \
-                mock.patch.object(trace_model, "_row_order", spy(trace_model._row_order)):
-            got = trace_model._order(*keys)
+        with mock.patch.object(trace_model, "_ranks", spy(trace_model._ranks)), \
+                mock.patch.object(trace_model, "_key_order", spy(trace_model._key_order)):
+            got = row_order(*keys)
         assert got.tolist() == np.lexsort(keys[::-1]).tolist()
         assert all(0 <= key.min() and key.max() < m * m for key in seen)
         if len(keys) > 1 and m:
