@@ -117,9 +117,9 @@ def _window_width(clipped: ContactTrace, period: AnalysisPeriod, w: float | None
     ``_MAX_SCAN_WORK``, counting the windows that would be allocated."""
     if not len(clipped):
         raise InputError("no contacts in period")
-    if w is None:
-        w = windowing.recommend_window(windowing.pair_aggregates(clipped))
     try:
+        if w is None:
+            w = windowing.recommend_window(windowing.pair_aggregates(clipped))
         windows, n = windowing.window_count(period, w), len(clipped.labels)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -190,9 +190,13 @@ def _make_period(lo: float, hi: float) -> AnalysisPeriod:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(f"analysis period needs finite bounds, got [{lo}, {hi}]")
     try:
-        return AnalysisPeriod(lo, hi)
+        period = AnalysisPeriod(lo, hi)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    if not math.isfinite(period.span):
+        raise InputError(f"analysis period [{lo}, {hi}] is too long: t_max - t_min is not "
+                         "a finite number")
+    return period
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -216,11 +220,11 @@ def cmd_window(args) -> int:
     trace = _load_trace(args.input, args.format)
     period = _resolve_periods(args, trace)[0]
     aggs = windowing.pair_aggregates(ingestion.clip_to_period(trace, period))
-    if not aggs:
-        raise InputError("no contacts in period")
-    avg = windowing.average_meeting_time(aggs)
-    rec = windowing.recommend_window(aggs)
-    count = windowing.window_count(period, rec)
+    try:
+        avg, rec = windowing.average_meeting_time(aggs), windowing.recommend_window(aggs)
+        count = windowing.window_count(period, rec)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     _write_output(f"avg={avg:.2f} recommended={rec:g} windows={count}\n", args.output)
     return EXIT_OK
 

@@ -14,6 +14,14 @@ warnings. Overlapping intervals for the same pair are merged into one
 event spanning their union before analysis, so a pair's airtime is
 never double counted.
 
+A str text (the command line passes one) is first offered to numpy's C
+reader, one ``np.loadtxt`` call (``_clean_rows``), whose columns get the
+checks and cross-row rules below. It takes only a text it reads as the
+streaming read does; see ``_clean_rows``, ``_clean_common`` and
+``_clean_one``. Any other text, and every file handle and iterable of
+lines, goes whole to the streaming read, so every text gives the same
+trace, warnings and errors whichever read takes it.
+
 Both parsers are column code. ``_read_blocks`` reads ``_BLOCK_ROWS``
 lines at a time (a str is cut into lines ``_PIECE`` characters at a
 time; a file handle or an iterable of lines is streamed block by block),
@@ -39,7 +47,7 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .trace_model import (AnalysisPeriod, ContactTrace, group_cummax, group_cumsum, groups,
-                          row_order)
+                          in_row_order, row_order)
 
 TextSource = Union[str, IO[str], Iterable[str]]
 # Lines the parsers read, and rows the writers format, at once.
@@ -168,6 +176,58 @@ def _read_blocks(text: TextSource, width: int) -> Iterator[_Block]:
             return
 
 
+# A row of each format as numpy's C reader reads it. A string field is one
+# byte wider than the longest token a clean (ASCII) text may hold, so that a
+# longer token reads as another string instead of being cut to that token.
+_COMMON_ROW = np.dtype([("a", np.int64), ("b", np.int64), ("start", float), ("end", float),
+                        ("count", np.int64), ("gap", float)])
+_ONE_ROW = np.dtype([("t", float), ("op", "S5"), ("n1", np.int64), ("n2", np.int64),
+                     ("action", "S5")])
+
+
+def _clean_rows(text: TextSource, dtype: np.dtype,
+                forbidden: str = "") -> Optional[tuple[int, list[np.ndarray]]]:
+    """The line number of the first row of ``text`` and its rows' fields as
+    ``dtype``'s columns, read by ``np.loadtxt`` from the lines
+    ``_read_blocks`` reads, those of ``str.splitlines``. None unless
+    ``text`` is an ASCII str without ``forbidden`` whose first line is a
+    header (by ``_read_blocks``' rule) or a row, and whose other lines are
+    all rows of fields the reader takes ("#" is one), so that no blank line
+    moves a line number. It takes numbers as ``int`` and ``float`` do, but
+    not all they take (``1_0``, ints of 2^63 or more)."""
+    if not isinstance(text, str) or not text.isascii() or any(c in text for c in forbidden):
+        return None
+    lines = text.splitlines()
+    head = lines[0].split() if lines else None
+    if not head:
+        return None
+    header = int(_rejection(float, head[0]) is not None)
+    # A body of blank lines alone would make the reader warn.
+    if len(lines) == header or not lines[header].split():
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype, comments=None, skiprows=header, ndmin=1)
+    except ValueError:
+        return None
+    if len(rows) != len(lines) - header:  # the reader skipped a blank line
+        return None
+    del lines
+    return 1 + header, [np.ascontiguousarray(rows[name]) for name in dtype.names]
+
+
+def _distinct(column: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The distinct values of an integer column, ascending, and the index of
+    each row's value among them."""
+    order = np.argsort(column)
+    ordered = column[order]
+    new = np.empty(len(column), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    index = np.empty(len(column), np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new].tolist(), index
+
+
 class _Tokens:
     """The distinct tokens of some columns and what ``convert`` makes of
     each, converted once per distinct token; a column then costs one dict
@@ -231,6 +291,39 @@ def parse_common_format(
     columns are checked against recomputation; mismatches produce
     warnings and the recomputed values win.
     """
+    ids, counts, error, (lines, a, b, start, end, count, gap) = (
+        _clean_common(text) or _common_blocks(text))
+    if warnings is not None:
+        warnings.extend(_recount(lines, a, b, len(ids), start, counts, count, gap))
+    if error:
+        raise error
+    if not len(a):
+        raise ParseError("no events")
+    return _contact_trace(ids, a, b, start, end)
+
+
+def _clean_common(text: TextSource) -> Optional[tuple]:
+    """``_common_blocks``' result for a text that ``_clean_rows`` reads and
+    whose rows pass every check; None for any other text."""
+    read = _clean_rows(text, _COMMON_ROW)
+    if read is None:
+        return None
+    first, (a, b, start, end, count, gap) = read
+    if not (all(np.isfinite(c).all() for c in (start, end, gap)) and (start <= end).all()
+            and (a != b).all()):
+        return None
+    ids, nodes = _distinct(np.concatenate([a, b]))
+    counts, count = _distinct(count)
+    m = len(a)
+    return ids, counts, None, (np.arange(first, first + m), nodes[:m], nodes[m:], start, end,
+                               count, gap)
+
+
+def _common_blocks(text: TextSource) -> tuple:
+    """The node ids, the distinct occurrence counts, the error of the first
+    failing row (None if none fails), and the line, ``a`` and ``b`` (indices
+    into the ids), start, end, count (an index into the counts) and gap
+    columns of the rows before it."""
     nodes, counts = _Tokens(int), _Tokens(int)
     parts, error = [], None
     for block in _read_blocks(text, 6):
@@ -253,16 +346,7 @@ def parse_common_format(
         error = block.parse_error()
         if error:
             break
-    lines, a, b, start, end, count, gap = map(np.concatenate, zip(*parts))
-    del parts
-    if warnings is not None:
-        warnings.extend(_recount(lines, a, b, len(nodes.values), start, counts.values, count,
-                                 gap))
-    if error:
-        raise error
-    if not len(a):
-        raise ParseError("no events")
-    return _contact_trace(nodes.values, a, b, start, end)
+    return nodes.values, counts.values, error, tuple(map(np.concatenate, zip(*parts)))
 
 
 def _non_numeric(tokens: list[str], convert: Callable[[str], object] = float):
@@ -311,6 +395,36 @@ def parse_one_report(
     An up with no down by end of stream is closed at the last simulation
     time observed, with a warning.
     """
+    ids, error, notes, columns = _clean_one(text) or _one_blocks(text)
+    contacts = _fifo_contacts(ids, error, notes, warnings, *columns)
+    del columns  # free the row columns before the trace is built
+    return _contact_trace(ids, *contacts)
+
+
+def _clean_one(text: TextSource) -> Optional[tuple]:
+    """``_one_blocks``' result for a text that ``_clean_rows`` reads, with
+    no sign (``_node_id`` takes none), and whose rows are all ``CONN`` rows
+    that pass every check, spelled as ``write_one_report`` spells them;
+    None for any other text."""
+    read = _clean_rows(text, _ONE_ROW, "+-")
+    if read is None:
+        return None
+    first, (t, op, n1, n2, action) = read
+    up = action == b"up"
+    if not ((op == b"CONN").all() and (up | (action == b"down")).all() and np.isfinite(t).all()
+            and (n1 != n2).all()):
+        return None
+    ids, nodes = _distinct(np.concatenate([n1, n2]))
+    m = len(t)
+    return ids, None, [], (np.arange(first, first + m), t, np.ones(m, bool), nodes[:m],
+                           nodes[m:], up)
+
+
+def _one_blocks(text: TextSource) -> tuple:
+    """The node ids, the error of the first failing row (None if none
+    fails), the warnings of the non-CONN rows before it, and the line, time,
+    is-CONN, ``n1`` and ``n2`` (indices into the ids) and is-up columns of
+    the rows before it."""
     nodes = _Tokens(_node_id)
     ops = _Tokens(lambda op: op.upper() == "CONN")
     actions = _Tokens(lambda action: ("down", "up").index(action.lower()))
@@ -334,11 +448,7 @@ def parse_one_report(
         error = block.parse_error()
         if error:
             break
-    columns = [np.concatenate(column) for column in zip(*parts)]
-    del parts
-    contacts = _fifo_contacts(nodes.values, error, notes, warnings, *columns)
-    del columns  # free the row columns before the trace is built
-    return _contact_trace(nodes.values, *contacts)
+    return nodes.values, error, notes, [np.concatenate(column) for column in zip(*parts)]
 
 
 def _fifo_contacts(ids: list[int], error: Optional[ParseError], notes: list[ParseWarning],
@@ -441,14 +551,15 @@ def clip_to_period(trace: ContactTrace, period: AnalysisPeriod) -> ContactTrace:
 
     Events wholly outside [t_min, t_max] are dropped; straddling events
     are truncated to the boundary. The node set is recomputed from the
-    surviving events.
+    surviving events. Rows that the clip leaves in (start, end, a, b) order,
+    as when it changes nothing in a time-ordered trace, are not sorted again.
     """
     keep = (trace.end >= period.t_min) & (trace.start <= period.t_max)
     labels, a, b = _used_labels(trace.labels, trace.a[keep], trace.b[keep])
     start = np.maximum(trace.start[keep], period.t_min)
     end = np.minimum(trace.end[keep], period.t_max)
     clipped = ContactTrace(labels, a, b, start, end, float(period.t_min), float(period.t_max))
-    return clipped._time_ordered()
+    return clipped if in_row_order(start, end, a, b) else clipped._time_ordered()
 
 
 def _times(t: np.ndarray) -> np.ndarray:

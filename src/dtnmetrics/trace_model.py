@@ -185,6 +185,18 @@ def row_order(*keys: np.ndarray) -> np.ndarray:
     return _key_order(key)
 
 
+def in_row_order(*keys: np.ndarray) -> bool:
+    """Whether :func:`row_order` of ``keys`` would keep the rows where they
+    are: each row's keys are at least the row's before it, compared as
+    ``np.lexsort`` compares them, save that two rows whose order rests on a
+    NaN read as out of order."""
+    later = np.ones(max(len(keys[0]) - 1, 0), bool)
+    for key in keys[::-1]:
+        ahead, behind = key[1:], key[:-1]
+        later = (ahead > behind) | ((ahead == behind) & later)
+    return bool(later.all())
+
+
 def _key_order(key: np.ndarray) -> np.ndarray:
     """The stable order of the m rows of ``key``, from one default-kind sort
     of an int64 key below m^2: an integer key of fewer distinct values than

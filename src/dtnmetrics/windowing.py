@@ -174,8 +174,11 @@ def average_meeting_time(aggregates: list[PairAggregate]) -> float:
 
 def recommend_window(aggregates: list[PairAggregate]) -> float:
     """Smallest positive multiple of 60 strictly greater than the average
-    meeting time."""
+    meeting time; ValueError if that time is not a finite number."""
     avg = average_meeting_time(aggregates)
+    if not math.isfinite(avg):
+        raise ValueError("average meeting time is not a finite number: the total contact "
+                         "time overflows")
     return float((math.floor(avg / 60) + 1) * 60)
 
 

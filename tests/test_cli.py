@@ -354,6 +354,30 @@ class TestGenerateCommand:
                         rwp_gen.RwpParams(6, 300.0, 150.0, 400.0, 400.0, 1.0, 3.0, 10.0, 7, 0.5)]
 
 
+# A row whose span, t_max - t_min, overflows float64; and two pairs whose
+# contact times, over a finite span, overflow their sum.
+_INFINITE_SPAN = "1 2 -1e308 1e308 1 0\n"
+_OVERFLOWING_CONTACT_TIME = "1 2 0 1.6e308 1 0\n3 4 0 1.6e308 1 0\n"
+
+
+class TestNonFiniteSpans:
+    @pytest.mark.parametrize("text, message", [
+        (_INFINITE_SPAN, "analysis period [-1e+308, 1e+308] is too long: t_max - t_min is not "
+                         "a finite number"),
+        (_OVERFLOWING_CONTACT_TIME, "average meeting time is not a finite number: the total "
+                                    "contact time overflows"),
+    ])
+    @pytest.mark.parametrize("command", ["window", "analyze", "matrix"])
+    def test_is_usage_error_without_a_warning(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # as the CLI runs, not as these tests do
+            assert main([command, "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not caught
+
+
 class TestBuildReport:
     def test_library_and_cli_agree(self, six_node_trace):
         report = build_report(six_node_trace, AnalysisPeriod(0, 900), w=300)

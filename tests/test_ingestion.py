@@ -1,5 +1,6 @@
 import io
 import random
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -422,6 +423,35 @@ class TestStagesMatchLexsortCode:
                     oracles.lexsort_clip_to_period(ordered, period))
 
 
+class TestClipThatChangesNothing:
+    """A period that changes nothing keeps rows that are in (start, end, a,
+    b) order, and sorts any others."""
+
+    def test_ordered_rows_are_not_sorted_again(self):
+        trace = parse_common_format(TABLE_ROWS)
+        period = AnalysisPeriod(trace.span_min, trace.span_max)
+        with mock.patch.object(ContactTrace, "_time_ordered",
+                               side_effect=AssertionError("sorted")):
+            clipped = clip_to_period(trace, period)
+        _same_bytes(clipped, oracles.lexsort_clip_to_period(trace, period))
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_traces(), st.booleans())
+    def test_rows_in_order_or_by_start_alone_match_lexsort_code(self, drawn, ordered):
+        trace = drawn[0]._time_ordered()
+        labels, a, b = ingestion._used_labels(trace.labels, trace.a, trace.b)
+        assume(trace.start[0] < trace.end.max())
+        period = AnalysisPeriod(float(trace.start[0]), float(trace.end.max()))
+        # sorted by start alone, rows of equal start in reverse
+        order = slice(None) if ordered else np.lexsort((-np.arange(len(a)), trace.start))
+        trace = ContactTrace(labels, a[order], b[order], trace.start[order], trace.end[order],
+                             period.t_min, period.t_max)
+        want = oracles.lexsort_clip_to_period(trace, period)
+        with mock.patch.object(ContactTrace, "_time_ordered", side_effect=AssertionError(
+                "sorted")) if ordered else nullcontext():
+            _same_bytes(clip_to_period(trace, period), want)
+
+
 class TestRoundTrips:
     def test_one_report_round_trips_through_common_format(self):
         trace = parse_one_report(ONE_REPORT_TEXT)
@@ -594,6 +624,130 @@ class TestParsersMatchLineLoops:
         assert [w.line for w in warnings] == [1, 3]
 
 
+# Tokens of texts that numpy's reader reads (see ingestion._clean_rows):
+# first a field's tokens that such a text may hold, then tokens that send a
+# text back to the streaming read or fail its row there. Among them: signs,
+# which ONE ids never have, "#", ONE strings at and past the reader's five
+# characters, ints it rejects or that do not fit int64, non-finite and
+# overflowing times, and an Arabic-Indic digit, which int and float take.
+_FAST_IDS = ("0", "1", "2", "07", "7", "9", str(2**53), str(2**63 - 1)), (
+    "+7", "-3", "p12", "1_000", "7.0", str(2**63), "#", "\u0663")
+_FAST_TIMES = ("0", "1", "2.5", "3", "7.0", ".5", "1e3", "1E2"), (
+    "-1", "+2", "nan", "inf", "1e400", "1_000", "0x1p3", "#", "\u0663.5")
+_FAST_OPS = ("CONN",), ("CONNX", "CONNXY", "conn", "MSG", "#")
+_FAST_ACTIONS = ("up", "down"), ("upward", "downx", "dow", "UP", "u", "#")
+_FAST_COMMON_IDS = (*_FAST_IDS[0], "+7", "-3"), ("1_000", "7.0", str(2**63), "#", "\u0663")
+_FAST_COMMON_TIMES = (*_FAST_TIMES[0], "-1", "+2", "-0"), (
+    "nan", "inf", "-inf", "1e400", "1_000", "0x1p3", "#", "\u0663.5")
+_FAST_COUNTS = ("1", "2", "02", "+1", "-1", "0"), ("1.0", "1_0", str(2**63), "#")
+_FAST_GAPS = ("0", "1", "2.5", "-0", "1e-10"), ("nan", "1e400", "g")
+# Field separators, and line ends: every line break of str.splitlines.
+_SEPARATORS = (" ", " ", "\t", "\x1f", " \t ")
+_ENDS = ("\n", "\n", "\n", "\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+         "\x85", "\u2028", "\u2029")
+_SPOILERS = ("token", "token", "token", "blank", "comment", "width", "numeric header")
+
+
+@st.composite
+def _fast_report(draw, row, pools):
+    """``(text, clean)``: a text of ``row(draw, state)`` rows whose fields
+    are drawn from the first of each of ``pools``, maybe after a header,
+    each line ended by any line break, the last maybe by none. A clean text
+    has no more and is ASCII; the others also have a token from the second
+    of a field's pools, a blank line, a trailing comment, a row of another
+    width or a numeric-looking header, or a line break outside ASCII."""
+    state = {}
+    rows = [row(draw, state) for _ in range(draw(st.integers(1, 12)))]
+    spoilers = draw(st.lists(st.sampled_from(_SPOILERS), max_size=2))
+    for spoiler in spoilers:
+        k = draw(st.integers(0, len(rows) - 1))
+        if spoiler == "token":
+            field = draw(st.integers(0, len(pools) - 1))
+            rows[k][field] = draw(st.sampled_from(pools[field][1]))
+        elif spoiler == "comment":
+            rows[k] += ["#", "c"]
+        elif spoiler == "width":
+            rows[k] = rows[k][:-1] if draw(st.booleans()) else rows[k] + ["1"]
+    lines = [draw(st.sampled_from(("", "", " ", "\t"))) + draw(st.sampled_from(_SEPARATORS))
+             .join(fields) for fields in rows]
+    lines = draw(st.sampled_from([[], ["source destination up down occ inter"],
+                                  ["time op a b action"]])) + lines
+    if "numeric header" in spoilers:
+        lines.insert(0, "1e0 b c d e f")
+    if "blank" in spoilers:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t"))))
+    ends = [draw(st.sampled_from(_ENDS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(map(str.__add__, lines, ends))
+    return text, not spoilers and text.isascii()
+
+
+def _fast_common_row(draw, state):
+    src, dst = draw(st.lists(st.sampled_from(_FAST_COMMON_IDS[0]), min_size=2, max_size=2,
+                             unique_by=int))
+    up, down = sorted(draw(st.lists(st.sampled_from(_FAST_COMMON_TIMES[0]), min_size=2,
+                                    max_size=2)), key=float)
+    return [src, dst, up, down, draw(st.sampled_from(_FAST_COUNTS[0])),
+            draw(st.sampled_from(_FAST_GAPS[0]))]
+
+
+def _fast_one_row(draw, state):
+    """A CONN row. A pair's down mostly closes an open up and is timed no
+    earlier than it; now and then it has no open up or comes too early."""
+    a, b = draw(st.lists(st.sampled_from(_FAST_IDS[0]), min_size=2, max_size=2, unique_by=int))
+    time = draw(st.sampled_from(_FAST_TIMES[0]))
+    ups = state.setdefault(frozenset((int(a), int(b))), [])
+    action = draw(st.sampled_from(("up", "down"))) if ups or not draw(st.integers(0, 9)) \
+        else "up"
+    if action == "up":
+        ups.append(time)
+    elif ups:
+        opened = ups.pop(0)
+        if draw(st.integers(0, 9)):
+            time = max(time, opened, key=float)
+    return [time, "CONN", a, b, action]
+
+
+_COMMON_POOLS = (_FAST_COMMON_IDS, _FAST_COMMON_IDS, _FAST_COMMON_TIMES, _FAST_COMMON_TIMES,
+                 _FAST_COUNTS, _FAST_GAPS)
+_ONE_POOLS = (_FAST_TIMES, _FAST_OPS, _FAST_IDS, _FAST_IDS, _FAST_ACTIONS)
+
+
+@pytest.mark.filterwarnings("error")
+class TestFastReadMatchesLineLoops:
+    """Texts that numpy's reader reads, and texts a token, a line or a line
+    break away from them, parse as the line loops parse them, without a
+    warning; numpy's reader reads every clean text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_fast_report(_fast_common_row, _COMMON_POOLS))
+    def test_common_format(self, drawn):
+        text, clean = drawn
+        _agree(parse_common_format, text)
+        assert ingestion._clean_common(text) is not None or not clean
+
+    @settings(max_examples=400, deadline=None)
+    @given(_fast_report(_fast_one_row, _ONE_POOLS))
+    def test_one_report(self, drawn):
+        text, clean = drawn
+        _agree(parse_one_report, text)
+        assert ingestion._clean_one(text) is not None or not clean
+
+    @pytest.mark.parametrize("parse, pools, rows", [
+        (parse_common_format, _COMMON_POOLS, [["1", "2", "0", "1", "1", "0"],
+                                              ["2", "3", "1", "4", "1", "0"]]),
+        (parse_one_report, _ONE_POOLS, [["0", "CONN", "1", "2", "up"],
+                                        ["1", "CONN", "1", "2", "down"]])])
+    def test_every_token_in_every_field(self, parse, pools, rows):
+        for k, (good, bad) in enumerate(pools):
+            for token in (*good, *bad):
+                for row in range(len(rows)):
+                    fields = [list(r) for r in rows]
+                    fields[row][k] = token
+                    _agree(parse, "\n".join(map(" ".join, fields)))
+
+
 def _common_rows(count):
     return [f"{k % 5} {k % 5 + 1} {k} {k + 0.5} {k // 5 + 1} {5 if k >= 5 else 0}"
             for k in range(count)]
@@ -649,3 +803,64 @@ class TestBlockBoundaries:
         path.write_text(text)
         with open(path) as fh:
             assert _outcome(parse, fh) == want
+
+
+def _agree_streamed(parse, text):
+    """``_agree`` on the lines of ``text`` and on ``text`` with "\r\n" line
+    ends, which numpy's reader does not read: both through ``_read_blocks``,
+    the str cut into pieces of five characters, so that some "\r\n" is split."""
+    want = _outcome(_ORACLES[parse], text)
+    with mock.patch.object(ingestion, "_PIECE", 5):
+        assert _outcome(parse, text.splitlines(keepends=True)) == want
+        assert _outcome(parse, text.replace("\n", "\r\n")) == want
+    return want
+
+
+class TestStreamedBlockBoundaries:
+    """TestBlockBoundaries' texts that numpy's reader reads, through the
+    streaming read."""
+
+    @pytest.mark.parametrize("count", _SIZES)
+    @pytest.mark.parametrize("parse, rows", [(parse_common_format, _common_rows),
+                                             (parse_one_report, _one_rows)])
+    def test_row_counts_around_a_block(self, parse, rows, count):
+        kind, *_ = _agree_streamed(parse, "\n".join(rows(count)))[0]
+        assert kind == "trace"
+
+    def test_pair_open_across_blocks(self):
+        filler = [f"{k // 2} CONN 3 4 {('up', 'down')[k % 2]}" for k in range(_BLOCK_ROWS + 4)]
+        end = _BLOCK_ROWS + 9
+        text = "\n".join(["0 CONN 1 2 up", *filler, f"{end} CONN 2 1 down"])
+        (kind, labels, a, b, start, stop, *_), warnings = _agree_streamed(parse_one_report, text)
+        assert labels == (1, 2, 3, 4) and (0, 1, 0, end) in zip(a, b, start, stop)
+        assert warnings == []
+
+
+def _tabbed(text: str) -> str:
+    """``text`` with a tab between the first two fields of each line and no
+    final line end, as a benchmark input may come."""
+    return "\n".join(line.replace(" ", "\t", 1) for line in text.splitlines())
+
+
+_READER_TEXTS = [
+    (parse_common_format, _tabbed(write_common_format(_random_disjoint_trace(random.Random(3))))),
+    (parse_common_format, _tabbed("source destination up down occ inter\n"
+                                  "1 2 0 1 5 0\n1 2 3 4 1 9\n2 3 0.5 7 1 0\n")),
+    (parse_one_report, _tabbed(write_one_report(_random_disjoint_trace(random.Random(3))))),
+    (parse_one_report, _tabbed("time op a b action\n" + ONE_REPORT_TEXT)),
+]
+
+
+class TestCleanTextsTakeNumpysReader:
+    @pytest.mark.parametrize("parse, text", _READER_TEXTS)
+    def test_parsed_without_the_streaming_read(self, parse, text):
+        want = _outcome(_ORACLES[parse], text)
+        with mock.patch.object(ingestion, "_read_blocks", side_effect=AssertionError("streamed")):
+            assert _outcome(parse, text) == want
+
+    def test_file_handles_and_lines_take_the_streaming_read(self):
+        parse, text = _READER_TEXTS[0]
+        with mock.patch.object(ingestion, "_read_blocks", side_effect=AssertionError("streamed")):
+            for source in (io.StringIO(text), text.splitlines()):
+                with pytest.raises(AssertionError, match="streamed"):
+                    parse(source)

@@ -13,7 +13,8 @@ from dtnmetrics import (
     validate_trace,
 )
 from dtnmetrics import trace_model
-from dtnmetrics.trace_model import group_cummax, group_cumsum, groups, row_order
+from dtnmetrics.trace_model import (group_cummax, group_cumsum, groups, in_row_order,
+                                    row_order)
 
 
 class TestContactEvent:
@@ -247,6 +248,15 @@ class TestOrder:
         assert all(0 <= key.min() and key.max() < m * m for key in seen)
         if len(keys) > 1 and m:
             assert seen  # the combined key is sorted
+
+    @settings(max_examples=200, deadline=None)
+    @given(_keys())
+    def test_in_row_order_is_whether_the_order_keeps_the_rows(self, keys):
+        m = len(keys[0])
+        for columns in (keys, [key[row_order(*keys)] for key in keys]):
+            kept = row_order(*columns).tolist() == list(range(m))
+            nan = any(np.isnan(key).any() for key in columns if key.dtype.kind == "f")
+            assert in_row_order(*columns) == kept or nan and not in_row_order(*columns)
 
     @settings(max_examples=200, deadline=None)
     @given(_keys())
