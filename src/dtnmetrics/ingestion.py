@@ -43,6 +43,7 @@ import re
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
@@ -206,8 +207,13 @@ def _clean_rows(text: TextSource, dtype: np.dtype,
     if len(lines) == header or not lines[header].split():
         return None
     try:
-        rows = np.loadtxt(lines, dtype, comments=None, skiprows=header, ndmin=1)
-    except ValueError:
+        # Some numpy versions read an int field such as "7.0" or "1.5"
+        # through float, with only a DeprecationWarning; as an error it
+        # makes the reader fail, so ``int``'s rule holds on every version.
+        with catch_warnings():
+            simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, dtype, comments=None, skiprows=header, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
     if len(rows) != len(lines) - header:  # the reader skipped a blank line
         return None
@@ -218,14 +224,10 @@ def _clean_rows(text: TextSource, dtype: np.dtype,
 def _distinct(column: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The distinct values of an integer column, ascending, and the index of
     each row's value among them."""
-    order = np.argsort(column)
-    ordered = column[order]
-    new = np.empty(len(column), bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    order, first = groups(column)
     index = np.empty(len(column), np.intp)
-    index[order] = np.cumsum(new) - 1
-    return ordered[new].tolist(), index
+    index[order] = np.cumsum(first) - 1
+    return column[order][first].tolist(), index
 
 
 class _Tokens:
