@@ -213,7 +213,11 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _write_trace(trace: ContactTrace, fmt: str, path: str | None) -> None:
     write = ingestion.write_one_report if fmt == "one" else ingestion.write_common_format
-    _write_output(write(trace), path)
+    try:
+        text = write(trace)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    _write_output(text, path)
 
 
 def cmd_window(args) -> int:

@@ -17,32 +17,27 @@ never double counted.
 A str text (the command line passes one) is first offered to numpy's C
 reader, one ``np.loadtxt`` call (``_clean_rows``), whose columns get the
 checks and cross-row rules below. It takes only a text it reads as the
-streaming read does; see ``_clean_rows``, ``_clean_common`` and
+line loop does; see ``_clean_rows``, ``_clean_common`` and
 ``_clean_one``. Any other text, and every file handle and iterable of
-lines, goes whole to the streaming read, so every text gives the same
-trace, warnings and errors whichever read takes it.
+lines, goes whole to the line loop (``_common_lines``, ``_one_lines``),
+so every text gives the same trace, warnings and errors whichever read
+takes it.
 
-Both parsers are column code. ``_read_blocks`` reads ``_BLOCK_ROWS``
-lines at a time (a str is cut into lines ``_PIECE`` characters at a
-time; a file handle or an iterable of lines is streamed block by block),
-splits them and turns the fields into token columns. A time
-column is one ``float`` pass. Node ids, occurrence counts, ONE operations
-and actions go through dicts keyed by distinct token (``_Tokens``): each
-distinct token is converted once, with Python ``int`` semantics for ids,
-so ``"07"`` is node 7 and ids of 2^64 keep their identity, and a row then
-costs one dict lookup per field. The rules that span rows (the
-re-derived columns, FIFO pairing of ups and downs) are array code over
-the columns of all blocks. A malformed row raises ``ParseError`` with the
-line and message of the first check it fails, checks running row by row
-in field order; the warnings of the rows before it are still reported.
+The line loop converts and checks each row's fields in field order,
+with Python ``int`` semantics for ids, so ``"07"`` is node 7 and ids of
+2^64 keep their identity. A malformed row raises ``ParseError`` with its
+line and the message of the first check it fails; the warnings of the
+rows before it are still reported. Both reads hand columns to the same
+array code for the rules that span rows (the re-derived columns, FIFO
+pairing of ups and downs).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
-from itertools import chain, islice
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
@@ -51,10 +46,8 @@ from .trace_model import (AnalysisPeriod, ContactTrace, group_cummax, group_cums
                           in_row_order, row_order)
 
 TextSource = Union[str, IO[str], Iterable[str]]
-# Lines the parsers read, and rows the writers format, at once.
+# Rows the writers format at once.
 _BLOCK_ROWS = 1024
-# Characters of a str text that the parsers split into lines at once.
-_PIECE = 1 << 16
 
 
 class ParseError(ValueError):
@@ -74,107 +67,38 @@ class ParseWarning:
     message: str
 
 
-class _Block:
-    """One block of ``_read_blocks``: the line number of each non-blank row,
-    the fields of its rows as token columns, and its first failing row.
-
-    Checks are offered in the order the fields of a row are checked in; a
-    check moves the failure only to a strictly earlier row, so the message
-    is that of the failing row's first failed check. ``limit`` is the number
-    of rows before the failing row, all rows when none fails.
-    """
-
-    def __init__(self, lines: np.ndarray, columns: list[list[str]]):
-        self.lines = lines
-        self.columns = columns
-        self.limit = len(lines)
-        self.error: Optional[str] = None
-
-    def fail(self, row: int, message: Callable[[int], str]) -> None:
-        if row < self.limit:
-            self.limit, self.error = row, message(row)
-
-    def check(self, failed: np.ndarray, message: Callable[[int], str]) -> None:
-        """Fail at the first row where ``failed`` holds."""
-        rows = np.flatnonzero(failed[:self.limit])
-        if len(rows):
-            self.fail(int(rows[0]), message)
-
-    def floats(self, tokens: list[str], message: Callable[[int], str]) -> np.ndarray:
-        """The token column as float64; nan from the first token that
-        ``float`` rejects, which fails its row."""
-        try:
-            return np.fromiter(map(float, tokens), float, len(tokens))
-        except ValueError:
-            row = next(k for k, token in enumerate(tokens) if _rejection(float, token))
-            self.fail(row, message)
-            values = np.full(len(tokens), np.nan)
-            values[:row] = list(map(float, tokens[:row]))
-            return values
-
-    def kept(self, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The line numbers and the columns of the rows before the failing row."""
-        return tuple(c[:self.limit] for c in (self.lines, *columns))
-
-    def parse_error(self) -> Optional[ParseError]:
-        if self.error is None:
-            return None
-        return ParseError(self.error, int(self.lines[self.limit]))
-
-
-def _rejection(convert: Callable[[str], object], token: str) -> Optional[str]:
-    """What ``convert`` says when it rejects ``token``, None if it accepts it."""
+def _is_header(fields: list[str]) -> bool:
+    """Whether the first non-blank row, split into ``fields``, is a header:
+    its first field is not a number."""
     try:
-        convert(token)
-    except ValueError as exc:
-        return str(exc)
-    return None
+        float(fields[0])
+    except ValueError:
+        return True
+    return False
 
 
-def _str_lines(text: str) -> Iterator[list[str]]:
-    """The lines of ``text`` as ``str.splitlines`` splits it, with their line
-    ends, ``_PIECE`` characters at a time so that they never all exist at once."""
-    start, size = 0, _PIECE
-    while start < len(text):
-        lines = text[start:start + size].splitlines(keepends=True)
-        if start + size < len(text):
-            # The last line may go on in the next piece, if only by the
-            # "\n" of a "\r\n".
-            lines.pop()
-            if not lines:
-                size *= 2
-                continue
-        start += sum(map(len, lines))
-        yield lines
-
-
-def _read_blocks(text: TextSource, width: int) -> Iterator[_Block]:
-    """The rows of ``text``, ``_BLOCK_ROWS`` lines at a time, as columns of
-    ``width`` tokens. Blank lines are skipped, and a first non-blank row
-    whose first field is not a number is a header. A row of another width
-    fails; its block is the last. An empty text is one empty block."""
-    lines = chain.from_iterable(_str_lines(text)) if isinstance(text, str) else iter(text)
-    lineno, header = 1, True
-    while True:
-        raw = list(islice(lines, _BLOCK_ROWS))
-        split = list(map(str.split, raw))
-        counts = np.fromiter(map(len, split), np.intp, len(split))
-        rows = np.flatnonzero(counts)
-        fields = list(filter(None, split))
-        if header and fields:
+def _rows(text: TextSource, width: int) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` per non-blank row of ``text`` (a str is
+    split as ``str.splitlines`` splits it), skipping the first if it is a
+    header. ParseError at a row of other than ``width`` fields."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    header = True
+    for line, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if header:
             header = False
-            if _rejection(float, fields[0][0]):
-                rows, fields = rows[1:], fields[1:]
-        counts = counts[rows]
-        wrong = np.flatnonzero(counts != width)
-        n = int(wrong[0]) if len(wrong) else len(fields)
-        flat = list(chain.from_iterable(islice(fields, n)))
-        block = _Block(rows + lineno, [flat[k::width] for k in range(width)])
-        block.fail(n, lambda k: f"expected {width} columns, got {counts[k]}")
-        lineno += len(raw)
-        yield block
-        if block.error is not None or len(raw) < _BLOCK_ROWS:
-            return
+            if _is_header(fields):
+                continue
+        if len(fields) != width:
+            raise ParseError(f"expected {width} columns, got {len(fields)}", line)
+        yield line, fields
+
+
+def _columns(table: np.ndarray) -> list[np.ndarray]:
+    """The fields of a structured array, each as its own array."""
+    return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
 
 
 # A row of each format as numpy's C reader reads it. A string field is one
@@ -184,27 +108,33 @@ _COMMON_ROW = np.dtype([("a", np.int64), ("b", np.int64), ("start", float), ("en
                         ("count", np.int64), ("gap", float)])
 _ONE_ROW = np.dtype([("t", float), ("op", "S5"), ("n1", np.int64), ("n2", np.int64),
                      ("action", "S5")])
+# The columns the line loops give, ids and counts as indices into their values.
+_COMMON_COLUMNS = np.dtype([("line", np.intp), ("a", np.intp), ("b", np.intp), ("start", float),
+                            ("end", float), ("count", np.intp), ("gap", float)])
+_ONE_COLUMNS = np.dtype([("line", np.intp), ("t", float), ("conn", bool), ("n1", np.intp),
+                         ("n2", np.intp), ("up", bool)])
 
 
-def _clean_rows(text: TextSource, dtype: np.dtype,
-                forbidden: str = "") -> Optional[tuple[int, list[np.ndarray]]]:
+def _clean_rows(text: TextSource, dtype: np.dtype) -> Optional[tuple[int, list[np.ndarray]]]:
     """The line number of the first row of ``text`` and its rows' fields as
-    ``dtype``'s columns, read by ``np.loadtxt`` from the lines
-    ``_read_blocks`` reads, those of ``str.splitlines``. None unless
-    ``text`` is an ASCII str without ``forbidden`` whose first line is a
-    header (by ``_read_blocks``' rule) or a row, and whose other lines are
-    all rows of fields the reader takes ("#" is one), so that no blank line
-    moves a line number. It takes numbers as ``int`` and ``float`` do, but
-    not all they take (``1_0``, ints of 2^63 or more)."""
-    if not isinstance(text, str) or not text.isascii() or any(c in text for c in forbidden):
+    ``dtype``'s columns, read by ``np.loadtxt`` from the lines ``_rows``
+    reads, those of ``str.splitlines``. None unless ``text`` is an ASCII
+    str whose first line is a header (by ``_rows``' rule) or a row, and
+    whose other lines, up to its trailing blank ones, are all rows of fields
+    the reader takes ("#" is one), so that no blank line moves a line
+    number. It takes numbers as ``int`` and ``float`` do, but not all they
+    take (``1_0``, ints of 2^63 or more)."""
+    if not isinstance(text, str) or not text.isascii():
         return None
     lines = text.splitlines()
+    while lines and not lines[-1].split():
+        lines.pop()
     head = lines[0].split() if lines else None
     if not head:
         return None
-    header = int(_rejection(float, head[0]) is not None)
-    # A body of blank lines alone would make the reader warn.
-    if len(lines) == header or not lines[header].split():
+    header = int(_is_header(head))
+    # An empty body would make the reader warn.
+    if len(lines) == header:
         return None
     try:
         # Some numpy versions read an int field such as "7.0" or "1.5"
@@ -218,7 +148,7 @@ def _clean_rows(text: TextSource, dtype: np.dtype,
     if len(rows) != len(lines) - header:  # the reader skipped a blank line
         return None
     del lines
-    return 1 + header, [np.ascontiguousarray(rows[name]) for name in dtype.names]
+    return 1 + header, _columns(rows)
 
 
 def _distinct(column: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -228,41 +158,6 @@ def _distinct(column: np.ndarray) -> tuple[list[int], np.ndarray]:
     index = np.empty(len(column), np.intp)
     index[order] = np.cumsum(first) - 1
     return column[order][first].tolist(), index
-
-
-class _Tokens:
-    """The distinct tokens of some columns and what ``convert`` makes of
-    each, converted once per distinct token; a column then costs one dict
-    lookup per row. Equal values share one index into ``values``."""
-
-    def __init__(self, convert: Callable[[str], object]):
-        self.convert = convert
-        self.index: dict[str, int] = {}
-        self.value: dict[object, int] = {}
-
-    @property
-    def values(self) -> list:
-        return list(self.value)
-
-    def codes(self, tokens: list[str]) -> np.ndarray:
-        """Each token's index into ``values``, -1 where ``convert`` raises
-        ValueError."""
-        try:
-            return np.fromiter(map(self.index.__getitem__, tokens), np.intp, len(tokens))
-        except KeyError:
-            for token in set(tokens).difference(self.index):
-                try:
-                    value = self.convert(token)
-                except ValueError:
-                    self.index[token] = -1
-                else:
-                    self.index[token] = self.value.setdefault(value, len(self.value))
-            return self.codes(tokens)
-
-    def lookup(self, tokens: list[str], rejected) -> np.ndarray:
-        """Each token's value, ``rejected`` where ``convert`` raises ValueError."""
-        codes = self.codes(tokens)
-        return np.array([*self.values, rejected])[codes]
 
 
 def _merge_pair_overlaps(trace: ContactTrace) -> ContactTrace:
@@ -294,7 +189,7 @@ def parse_common_format(
     warnings and the recomputed values win.
     """
     ids, counts, error, (lines, a, b, start, end, count, gap) = (
-        _clean_common(text) or _common_blocks(text))
+        _clean_common(text) or _common_lines(text))
     if warnings is not None:
         warnings.extend(_recount(lines, a, b, len(ids), start, counts, count, gap))
     if error:
@@ -305,7 +200,7 @@ def parse_common_format(
 
 
 def _clean_common(text: TextSource) -> Optional[tuple]:
-    """``_common_blocks``' result for a text that ``_clean_rows`` reads and
+    """``_common_lines``' result for a text that ``_clean_rows`` reads and
     whose rows pass every check; None for any other text."""
     read = _clean_rows(text, _COMMON_ROW)
     if read is None:
@@ -321,38 +216,32 @@ def _clean_common(text: TextSource) -> Optional[tuple]:
                                count, gap)
 
 
-def _common_blocks(text: TextSource) -> tuple:
+def _common_lines(text: TextSource) -> tuple:
     """The node ids, the distinct occurrence counts, the error of the first
     failing row (None if none fails), and the line, ``a`` and ``b`` (indices
     into the ids), start, end, count (an index into the counts) and gap
     columns of the rows before it."""
-    nodes, counts = _Tokens(int), _Tokens(int)
-    parts, error = [], None
-    for block in _read_blocks(text, 6):
-        src, dst, up, down, occ, inter = block.columns
-        a = nodes.codes(src)
-        block.check(a < 0, _non_numeric(src, int))
-        b = nodes.codes(dst)
-        block.check(b < 0, _non_numeric(dst, int))
-        start = block.floats(up, _non_numeric(up))
-        end = block.floats(down, _non_numeric(down))
-        count = counts.codes(occ)
-        block.check(count < 0, _non_numeric(occ, int))
-        gap = block.floats(inter, _non_numeric(inter))
-        block.check(~(np.isfinite(start) & np.isfinite(end) & np.isfinite(gap)),
-                    lambda k: "non-finite time (nan or inf)")
-        block.check(start > end,
-                    lambda k: f"connection up {float(start[k])} after down {float(end[k])}")
-        block.check(a == b, lambda k: f"self-contact of node {nodes.values[a[k]]}")
-        parts.append(block.kept(a, b, start, end, count, gap))
-        error = block.parse_error()
-        if error:
-            break
-    return nodes.values, counts.values, error, tuple(map(np.concatenate, zip(*parts)))
-
-
-def _non_numeric(tokens: list[str], convert: Callable[[str], object] = float):
-    return lambda k: f"non-numeric field: {_rejection(convert, tokens[k])}"
+    nodes, counts, rows, error = {}, {}, [], None
+    try:
+        for line, fields in _rows(text, 6):
+            try:
+                src, dst, up, down = (int(fields[0]), int(fields[1]), float(fields[2]),
+                                      float(fields[3]))
+                occ, inter = int(fields[4]), float(fields[5])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric field: {exc}", line) from None
+            if not (math.isfinite(up) and math.isfinite(down) and math.isfinite(inter)):
+                raise ParseError("non-finite time (nan or inf)", line)
+            if up > down:
+                raise ParseError(f"connection up {up} after down {down}", line)
+            if src == dst:
+                raise ParseError(f"self-contact of node {src}", line)
+            rows.append((line, nodes.setdefault(src, len(nodes)),
+                         nodes.setdefault(dst, len(nodes)), up, down,
+                         counts.setdefault(occ, len(counts)), inter))
+    except ParseError as exc:
+        error = exc
+    return list(nodes), list(counts), error, _columns(np.array(rows, _COMMON_COLUMNS))
 
 
 def _recount(lines, a, b, n, start, values, count, gap) -> Iterator[ParseWarning]:
@@ -379,11 +268,11 @@ def _recount(lines, a, b, n, start, values, count, gap) -> Iterator[ParseWarning
 _NODE_ID = re.compile(r"^[A-Za-z]*(\d+)$")
 
 
-def _node_id(token: str) -> int:
+def _node_id(token: str, line: int) -> int:
     """A ONE node id: the number after an optional alphabetic prefix."""
     m = _NODE_ID.match(token)
     if not m:
-        raise ValueError(token)
+        raise ParseError(f"bad node id {token!r}", line)
     return int(m.group(1))
 
 
@@ -397,24 +286,24 @@ def parse_one_report(
     An up with no down by end of stream is closed at the last simulation
     time observed, with a warning.
     """
-    ids, error, notes, columns = _clean_one(text) or _one_blocks(text)
+    ids, error, notes, columns = _clean_one(text) or _one_lines(text)
     contacts = _fifo_contacts(ids, error, notes, warnings, *columns)
     del columns  # free the row columns before the trace is built
     return _contact_trace(ids, *contacts)
 
 
 def _clean_one(text: TextSource) -> Optional[tuple]:
-    """``_one_blocks``' result for a text that ``_clean_rows`` reads, with
-    no sign (``_node_id`` takes none), and whose rows are all ``CONN`` rows
-    that pass every check, spelled as ``write_one_report`` spells them;
-    None for any other text."""
-    read = _clean_rows(text, _ONE_ROW, "+-")
+    """``_one_lines``' result for a text that ``_clean_rows`` reads, with
+    no signed id (``_node_id`` takes none), and whose rows are all ``CONN``
+    rows that pass every check, spelled as ``write_one_report`` spells
+    them; None for any other text."""
+    read = _clean_rows(text, _ONE_ROW)
     if read is None:
         return None
     first, (t, op, n1, n2, action) = read
     up = action == b"up"
     if not ((op == b"CONN").all() and (up | (action == b"down")).all() and np.isfinite(t).all()
-            and (n1 != n2).all()):
+            and (n1 != n2).all()) or _signed_id(text):
         return None
     ids, nodes = _distinct(np.concatenate([n1, n2]))
     m = len(t)
@@ -422,35 +311,42 @@ def _clean_one(text: TextSource) -> Optional[tuple]:
                            nodes[m:], up)
 
 
-def _one_blocks(text: TextSource) -> tuple:
+def _signed_id(text: str) -> bool:
+    """Whether a line of ``text`` has a sign in its third or fourth field."""
+    if "+" not in text and "-" not in text:
+        return False
+    signed = (line.split()[2:4] for line in text.splitlines() if "+" in line or "-" in line)
+    return any("+" in token or "-" in token for ids in signed for token in ids)
+
+
+def _one_lines(text: TextSource) -> tuple:
     """The node ids, the error of the first failing row (None if none
     fails), the warnings of the non-CONN rows before it, and the line, time,
     is-CONN, ``n1`` and ``n2`` (indices into the ids) and is-up columns of
     the rows before it."""
-    nodes = _Tokens(_node_id)
-    ops = _Tokens(lambda op: op.upper() == "CONN")
-    actions = _Tokens(lambda action: ("down", "up").index(action.lower()))
-    parts, notes, error = [], [], None
-    for block in _read_blocks(text, 5):
-        time, op, id1, id2, action = block.columns
-        t = block.floats(time, lambda k: f"non-numeric simulation time {time[k]!r}")
-        block.check(~np.isfinite(t), lambda k: f"non-finite simulation time {time[k]!r}")
-        conn = ops.lookup(op, False)
-        n1 = nodes.codes(id1)
-        block.check(conn & (n1 < 0), lambda k: f"bad node id {id1[k]!r}")
-        n2 = nodes.codes(id2)
-        block.check(conn & (n2 < 0), lambda k: f"bad node id {id2[k]!r}")
-        block.check(conn & (n1 == n2), lambda k: f"self-contact of node {nodes.values[n1[k]]}")
-        up = actions.lookup(action, -1)
-        block.check(conn & (up < 0), lambda k: f"unknown action {action[k]!r}")
-        part = block.kept(t, conn, n1, n2, up)
-        notes += [ParseWarning(int(block.lines[k]), f"skipping non-CONN operation {op[k]!r}")
-                  for k in np.flatnonzero(~part[2]).tolist()]
-        parts.append(part)
-        error = block.parse_error()
-        if error:
-            break
-    return nodes.values, error, notes, [np.concatenate(column) for column in zip(*parts)]
+    nodes, notes, rows, error = {}, [], [], None
+    try:
+        for line, (time, op, id1, id2, action) in _rows(text, 5):
+            try:
+                t = float(time)
+            except ValueError:
+                raise ParseError(f"non-numeric simulation time {time!r}", line) from None
+            if not math.isfinite(t):
+                raise ParseError(f"non-finite simulation time {time!r}", line)
+            if op.upper() != "CONN":
+                notes.append(ParseWarning(line, f"skipping non-CONN operation {op!r}"))
+                rows.append((line, t, False, 0, 0, False))
+                continue
+            n1, n2 = _node_id(id1, line), _node_id(id2, line)
+            if n1 == n2:
+                raise ParseError(f"self-contact of node {n1}", line)
+            if action.lower() not in ("up", "down"):
+                raise ParseError(f"unknown action {action!r}", line)
+            rows.append((line, t, True, nodes.setdefault(n1, len(nodes)),
+                         nodes.setdefault(n2, len(nodes)), action.lower() == "up"))
+    except ParseError as exc:
+        error = exc
+    return list(nodes), error, notes, _columns(np.array(rows, _ONE_COLUMNS))
 
 
 def _fifo_contacts(ids: list[int], error: Optional[ParseError], notes: list[ParseWarning],
@@ -595,10 +491,16 @@ def write_common_format(trace: ContactTrace) -> str:
 
     Occurrence counts and inter-contact times are freshly derived;
     parse_common_format(write_common_format(t)) reproduces t's events.
+    ValueError if an inter-contact time is not a finite number.
     """
     order, first = trace._by_pair(trace.end, trace.start)
     a, b, start, end = (x[order] for x in (trace.a, trace.b, trace.start, trace.end))
     occ, inter = _occurrences(start, first)
+    overflow = np.flatnonzero(~np.isfinite(inter))
+    if len(overflow):
+        k = int(overflow[0])
+        raise ValueError(f"inter-contact time of pair {_pair(trace.labels, a[k], b[k])} is not a "
+                         f"finite number: {float(start[k])} - {float(start[k - 1])} overflows")
     ids = np.array(trace.labels, dtype=object)
     rows = _blocks("{} {} {} {} {} {}", ids[a], ids[b], start, end, occ, inter)
     return "\n".join([COMMON_FORMAT_HEADER, *rows]) + "\n"

@@ -174,12 +174,17 @@ def average_meeting_time(aggregates: list[PairAggregate]) -> float:
 
 def recommend_window(aggregates: list[PairAggregate]) -> float:
     """Smallest positive multiple of 60 strictly greater than the average
-    meeting time; ValueError if that time is not a finite number."""
+    meeting time; ValueError if that time or that multiple is not a finite
+    number."""
     avg = average_meeting_time(aggregates)
     if not math.isfinite(avg):
         raise ValueError("average meeting time is not a finite number: the total contact "
                          "time overflows")
-    return float((math.floor(avg / 60) + 1) * 60)
+    try:
+        return float((math.floor(avg / 60) + 1) * 60)
+    except OverflowError:
+        raise ValueError(f"recommended window is not a finite number: the average meeting "
+                         f"time {avg:g} is too close to the largest float") from None
 
 
 def window_count(period: AnalysisPeriod, w: float) -> int:

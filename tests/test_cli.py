@@ -5,12 +5,15 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from contextlib import ExitStack
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from dataclasses import fields
+from io import StringIO
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dtnmetrics
 from dtnmetrics import (
@@ -307,6 +310,24 @@ class TestConvertCommand:
         rc = main(["convert", "--input", str(bad), "--from", "common", "--to", "one"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("one", "-1.7976931348623157e308 CONN 1 2 up\n-1e308 CONN 1 2 down\n"
+                "1e308 CONN 1 2 up\n1.7976931348623157e308 CONN 1 2 down\n"),
+        ("common", "1 2 -1.7976931348623157e308 -1e308 1 0\n"
+                   "1 2 1e308 1.7976931348623157e308 2 0\n"),
+    ])
+    def test_overflowing_inter_contact_time_is_usage_error(self, capsys, tmp_path, fmt, text):
+        # the pair's second contact starts 1e308 + 1.79e308 s after its first
+        path = tmp_path / "overflow.txt"
+        path.write_text(text)
+        argv = ["convert", "--input", str(path), "--from", fmt, "--to"]
+        assert main([*argv, "common"]) == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: inter-contact time of pair (1, 2) is not a finite number: "
+                          "1e+308 - -1.7976931348623157e+308 overflows"]
+        assert main([*argv, "one"]) == EXIT_OK
+
 
 class TestGenerateCommand:
     GEN_FLAGS = [
@@ -358,6 +379,9 @@ class TestGenerateCommand:
 # contact times, over a finite span, overflow their sum.
 _INFINITE_SPAN = "1 2 -1e308 1e308 1 0\n"
 _OVERFLOWING_CONTACT_TIME = "1 2 0 1.6e308 1 0\n3 4 0 1.6e308 1 0\n"
+# A meeting time so close to the largest float that no multiple of 60 above
+# it is finite.
+_HUGE_MEETING_TIME = "007 3 0 1.7976931348623157e308 1 0\n"
 
 
 class TestNonFiniteSpans:
@@ -366,6 +390,8 @@ class TestNonFiniteSpans:
                          "a finite number"),
         (_OVERFLOWING_CONTACT_TIME, "average meeting time is not a finite number: the total "
                                     "contact time overflows"),
+        (_HUGE_MEETING_TIME, "recommended window is not a finite number: the average meeting "
+                             "time 1.79769e+308 is too close to the largest float"),
     ])
     @pytest.mark.parametrize("command", ["window", "analyze", "matrix"])
     def test_is_usage_error_without_a_warning(self, capsys, tmp_path, command, text, message):
@@ -376,6 +402,75 @@ class TestNonFiniteSpans:
             assert main([command, "--input", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not caught
+
+
+_MAX = sys.float_info.max
+# Times that break arithmetic: near the largest float, denormals and signed
+# zeros, with a few ordinary ones; a small pool makes equal times common.
+_FUZZ_TIMES = st.one_of(
+    st.sampled_from([-_MAX, -1.6e308, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308,
+                     1.0, 59.5, 60.0, 1e308, 1.6e308, _MAX]),
+    st.floats(-_MAX, _MAX, allow_nan=False))
+# Huge and zero-padded ids, few enough that pairs repeat; "1" and "01" are
+# one node.
+_FUZZ_IDS = ["1", "01", "007", str(2**64)]
+_FUZZ_WINDOWS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 1.0, 60.0, 1e300, _MAX]),
+    st.floats(5e-324, _MAX))
+
+
+@st.composite
+def _fuzz_case(draw):
+    """``(format, text, period flags, window flags)``: one to four contacts,
+    as common-format rows or as the up and down rows of a ONE report in
+    time order, and maybe ``--tmin=``, ``--tmax=`` and ``--window``."""
+    contacts = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.lists(st.sampled_from(_FUZZ_IDS), min_size=2, max_size=2, unique=True))
+        up, down = sorted(draw(st.lists(_FUZZ_TIMES, min_size=2, max_size=2)))
+        contacts.append((a, b, up, down))
+    if draw(st.booleans()):
+        fmt, text = "common", "".join(f"{a} {b} {up!r} {down!r} 1 0\n"
+                                      for a, b, up, down in contacts)
+    else:
+        rows = sorted([(up, 0, f"{a} {b} up") for a, b, up, _ in contacts]
+                      + [(down, 1, f"{a} {b} down") for a, b, _, down in contacts])
+        fmt, text = "one", "".join(f"{t!r} CONN {row}\n" for t, _, row in rows)
+    period = [f"{flag}={draw(_FUZZ_TIMES)!r}" for flag in ("--tmin", "--tmax")
+              if not draw(st.integers(0, 3))]
+    window = ["--window", repr(draw(_FUZZ_WINDOWS))] if draw(st.booleans()) else []
+    return fmt, text, period, window
+
+
+class TestExitCodeContract:
+    """Every input is analysed or rejected with exit 2 and one error line,
+    and never makes Python warn; the files stay too small for the journey
+    counts to overflow (see test_overflowing_journey_counts_are_exit_one)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_fuzz_case())
+    # a meeting time within an ulp of the largest float; a pair whose
+    # inter-contact time overflows
+    @example(("common", _HUGE_MEETING_TIME, [], []))
+    @example(("one", "-1e308 CONN 1 007 up\n0.0 CONN 1 007 down\n1e308 CONN 1 007 up\n"
+                     "1e308 CONN 1 007 down\n", [], []))
+    def test_small_files_exit_zero_or_two(self, tmp_path_factory, case):
+        fmt, text, period, window = case
+        path = tmp_path_factory.getbasetemp() / "exit-code-contract.txt"
+        path.write_text(text)
+        for argv in (["window", "--format", fmt, *period],
+                     ["analyze", "--format", fmt, *period, *window],
+                     ["matrix", "--format", fmt, *period, *window],
+                     ["convert", "--from", fmt, "--to", "common"],
+                     ["convert", "--from", fmt, "--to", "one"]):
+            out, err = StringIO(), StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+                    redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main([*argv, "--input", str(path)])
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert (rc, len(errors)) in ((EXIT_OK, 0), (EXIT_USAGE, 1)), (argv, err.getvalue())
+            assert not caught, (argv, [str(w.message) for w in caught])
 
 
 class TestBuildReport:

@@ -25,7 +25,7 @@ from dtnmetrics import (
     write_one_report,
 )
 from dtnmetrics import ingestion
-from dtnmetrics.ingestion import _BLOCK_ROWS, _PIECE, _merge_pair_overlaps
+from dtnmetrics.ingestion import _BLOCK_ROWS, _merge_pair_overlaps
 
 from . import oracles
 from .conftest import ONE_REPORT_EVENTS, ONE_REPORT_TEXT
@@ -590,29 +590,28 @@ _ORACLES = {parse_common_format: oracles.parse_common_format_lines,
             parse_one_report: oracles.parse_one_report_lines}
 
 
-def _agree(parse, text, block_rows=_BLOCK_ROWS, piece=_PIECE):
+def _agree(parse, text):
+    """The oracle's outcome on ``text``, which ``parse`` gives on ``text`` as
+    a str and as a list of its lines; a file handle, which splits lines at
+    "\n" alone, gets the oracle's outcome on it. A str may take numpy's
+    reader, the others take the line loop."""
     want = _outcome(_ORACLES[parse], text)
-    with mock.patch.multiple(ingestion, _BLOCK_ROWS=block_rows, _PIECE=piece):
-        assert _outcome(parse, text) == want
+    assert _outcome(parse, text) == want
+    assert _outcome(parse, text.splitlines(keepends=True)) == want
+    assert _outcome(parse, io.StringIO(text)) == _outcome(_ORACLES[parse], io.StringIO(text))
     return want
-
-
-# Blocks of a few lines and pieces of a few characters put block and piece
-# boundaries everywhere, a "\r\n" split across two pieces included.
-_BLOCKS = st.sampled_from((1, 2, 3, _BLOCK_ROWS))
-_PIECES = st.sampled_from((1, 2, 5, _PIECE))
 
 
 class TestParsersMatchLineLoops:
     @settings(max_examples=400, deadline=None)
-    @given(_COMMON_TEXT, _BLOCKS, _PIECES)
-    def test_common_format(self, text, block_rows, piece):
-        _agree(parse_common_format, text, block_rows, piece)
+    @given(_COMMON_TEXT)
+    def test_common_format(self, text):
+        _agree(parse_common_format, text)
 
     @settings(max_examples=400, deadline=None)
-    @given(_ONE_TEXT, _BLOCKS, _PIECES)
-    def test_one_report(self, text, block_rows, piece):
-        _agree(parse_one_report, text, block_rows, piece)
+    @given(_ONE_TEXT)
+    def test_one_report(self, text):
+        _agree(parse_one_report, text)
 
     def test_error_row_after_warning_rows(self):
         text = "1 2 0 1 5 0\n1 2 3 4 1 9\n1 2 5 9 3 0\n1 1 6 7 4 1\n"
@@ -627,14 +626,14 @@ class TestParsersMatchLineLoops:
 
 # Tokens of texts that numpy's reader reads (see ingestion._clean_rows):
 # first a field's tokens that such a text may hold, then tokens that send a
-# text back to the streaming read or fail its row there. Among them: signs,
+# text back to the line loop or fail its row there. Among them: signs,
 # which ONE ids never have, "#", ONE strings at and past the reader's five
 # characters, ints it rejects or that do not fit int64, non-finite and
 # overflowing times, and an Arabic-Indic digit, which int and float take.
 _FAST_IDS = ("0", "1", "2", "07", "7", "9", str(2**53), str(2**63 - 1)), (
     "+7", "-3", "p12", "1_000", "7.0", str(2**63), "#", "\u0663")
-_FAST_TIMES = ("0", "1", "2.5", "3", "7.0", ".5", "1e3", "1E2"), (
-    "-1", "+2", "nan", "inf", "1e400", "1_000", "0x1p3", "#", "\u0663.5")
+_FAST_TIMES = ("0", "1", "2.5", "3", "7.0", ".5", "1e3", "1E2", "-1", "+2", "-0"), (
+    "nan", "inf", "1e400", "1_000", "0x1p3", "#", "\u0663.5")
 _FAST_OPS = ("CONN",), ("CONNX", "CONNXY", "conn", "MSG", "#")
 _FAST_ACTIONS = ("up", "down"), ("upward", "downx", "dow", "UP", "u", "#")
 _FAST_COMMON_IDS = (*_FAST_IDS[0], "+7", "-3"), ("1_000", "7.0", str(2**63), "#", "\u0663")
@@ -808,19 +807,16 @@ class TestBlockBoundaries:
 
 
 def _agree_streamed(parse, text):
-    """``_agree`` on the lines of ``text`` and on ``text`` with "\r\n" line
-    ends, which numpy's reader does not read: both through ``_read_blocks``,
-    the str cut into pieces of five characters, so that some "\r\n" is split."""
-    want = _outcome(_ORACLES[parse], text)
-    with mock.patch.object(ingestion, "_PIECE", 5):
-        assert _outcome(parse, text.splitlines(keepends=True)) == want
-        assert _outcome(parse, text.replace("\n", "\r\n")) == want
-    return want
+    """``_agree`` on ``text`` and on ``text`` with "\r\n" line ends, with
+    numpy's reader declining every text, so that the line loop reads the str."""
+    with mock.patch.object(ingestion, "_clean_rows", return_value=None):
+        _agree(parse, text.replace("\n", "\r\n"))
+        return _agree(parse, text)
 
 
 class TestStreamedBlockBoundaries:
     """TestBlockBoundaries' texts that numpy's reader reads, through the
-    streaming read."""
+    line loop."""
 
     @pytest.mark.parametrize("count", _SIZES)
     @pytest.mark.parametrize("parse, rows", [(parse_common_format, _common_rows),
@@ -850,21 +846,23 @@ _READER_TEXTS = [
                                   "1 2 0 1 5 0\n1 2 3 4 1 9\n2 3 0.5 7 1 0\n")),
     (parse_one_report, _tabbed(write_one_report(_random_disjoint_trace(random.Random(3))))),
     (parse_one_report, _tabbed("time op a b action\n" + ONE_REPORT_TEXT)),
+    (parse_common_format, "1 2 0 1 1 0\n\n \n\t\n"),
+    (parse_one_report, "-0 CONN 1 2 up\n+2 CONN 2 1 down\n1e-05 CONN 3 1 up\n\n"),
 ]
 
 
 class TestCleanTextsTakeNumpysReader:
     @pytest.mark.parametrize("parse, text", _READER_TEXTS)
-    def test_parsed_without_the_streaming_read(self, parse, text):
+    def test_parsed_without_the_line_loop(self, parse, text):
         want = _outcome(_ORACLES[parse], text)
-        with mock.patch.object(ingestion, "_read_blocks", side_effect=AssertionError("streamed")):
+        with mock.patch.object(ingestion, "_rows", side_effect=AssertionError("line loop")):
             assert _outcome(parse, text) == want
 
-    def test_file_handles_and_lines_take_the_streaming_read(self):
+    def test_file_handles_and_lines_take_the_line_loop(self):
         parse, text = _READER_TEXTS[0]
-        with mock.patch.object(ingestion, "_read_blocks", side_effect=AssertionError("streamed")):
+        with mock.patch.object(ingestion, "_rows", side_effect=AssertionError("line loop")):
             for source in (io.StringIO(text), text.splitlines()):
-                with pytest.raises(AssertionError, match="streamed"):
+                with pytest.raises(AssertionError, match="line loop"):
                     parse(source)
 
 
@@ -891,7 +889,7 @@ _INT_FIELDS = [
 
 
 class TestFloatSpelledIntsFallBack:
-    """An id or a count spelled as a float is an error of the streaming read
+    """An id or a count spelled as a float is an error of the line loop
     whatever the warning filters: the command line ignores a
     DeprecationWarning, which is all some numpy versions give for it."""
 
