@@ -1,19 +1,22 @@
 """Command-line interface: window sizing, analysis reports, matrices,
 format conversion and synthetic trace generation.
 
-Exit codes: 0 success, 1 internal error, 2 input/usage error.
+Exit codes: 0 success, 1 internal error, 2 input/usage error: every check
+of input, the library's included, raises ``InputError`` (a ValueError;
+``ingestion.ParseError`` is one), which ``main`` alone turns into exit 2
+and one ``error:`` line. ``generate`` rejects parameters whose squared
+distances or leg times would overflow a float.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
 from . import ingestion, rwp_gen, static_metrics, temporal_metrics, windowing
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig
+from .trace_model import AnalysisPeriod, ContactTrace, InputError, WindowConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -28,10 +31,6 @@ EXIT_USAGE = 2
 # each window walks up to 98 hop levels. Nor does it bound build_snapshots'
 # contact-window rows, one per pair per window a contact spans.
 _MAX_SCAN_WORK = 64 * 10**8
-
-
-class InputError(Exception):
-    """User-facing input problem; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,10 @@ def build_report(
     dataset_name: str = "trace",
 ) -> MetricsReport:
     """Run the full pipeline for one period and assemble the report row."""
-    clipped = ingestion.clip_to_period(trace, period)
-    w = _window_width(clipped, period, w)
+    clipped, w, snapshots = _snapshots(trace, period, w)
     n = len(clipped.labels)
     if n < 2:
         raise InputError("analysis needs at least 2 nodes in the period")
-    snapshots = windowing.build_snapshots(clipped, period, WindowConfig(w=w))
     matrix = temporal_metrics.temporal_distance_matrix(snapshots)
     tdia = temporal_metrics.temporal_diameter(matrix, w)
 
@@ -112,17 +109,22 @@ def _top_cell(scores: list[temporal_metrics.CentralityScore]) -> tuple[int, floa
     return top.node, top.value
 
 
+def _snapshots(trace: ContactTrace, period: AnalysisPeriod, w: float | None):
+    """The trace clipped to the period, its window width (see _window_width)
+    and its snapshots at that width."""
+    clipped = ingestion.clip_to_period(trace, period)
+    w = _window_width(clipped, period, w)
+    return clipped, w, windowing.build_snapshots(clipped, period, WindowConfig(w=w))
+
+
 def _window_width(clipped: ContactTrace, period: AnalysisPeriod, w: float | None) -> float:
     """``w``, or the recommended width when None; windows^2 x nodes at most
     ``_MAX_SCAN_WORK``, counting the windows that would be allocated."""
     if not len(clipped):
         raise InputError("no contacts in period")
-    try:
-        if w is None:
-            w = windowing.recommend_window(windowing.pair_aggregates(clipped))
-        windows, n = windowing.window_count(period, w), len(clipped.labels)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if w is None:
+        w = windowing.recommend_window(windowing.pair_aggregates(clipped))
+    windows, n = windowing.window_count(period, w), len(clipped.labels)
     if windows * windows * n > _MAX_SCAN_WORK:
         raise InputError(
             f"window {w:g} is too fine: {windows:.2g} windows for {n} nodes,"
@@ -180,23 +182,10 @@ def _resolve_periods(args, trace: ContactTrace) -> list[AnalysisPeriod]:
     if getattr(args, "period", None):
         if args.tmin is not None or args.tmax is not None:
             raise InputError("--period cannot be combined with --tmin or --tmax")
-        return [_make_period(*_parse_period_flag(p)) for p in args.period]
+        return [AnalysisPeriod(*_parse_period_flag(p)) for p in args.period]
     lo = args.tmin if args.tmin is not None else trace.span_min
     hi = args.tmax if args.tmax is not None else trace.span_max
-    return [_make_period(lo, hi)]
-
-
-def _make_period(lo: float, hi: float) -> AnalysisPeriod:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InputError(f"analysis period needs finite bounds, got [{lo}, {hi}]")
-    try:
-        period = AnalysisPeriod(lo, hi)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if not math.isfinite(period.span):
-        raise InputError(f"analysis period [{lo}, {hi}] is too long: t_max - t_min is not "
-                         "a finite number")
-    return period
+    return [AnalysisPeriod(lo, hi)]
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -213,22 +202,15 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _write_trace(trace: ContactTrace, fmt: str, path: str | None) -> None:
     write = ingestion.write_one_report if fmt == "one" else ingestion.write_common_format
-    try:
-        text = write(trace)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    _write_output(text, path)
+    _write_output(write(trace), path)
 
 
 def cmd_window(args) -> int:
     trace = _load_trace(args.input, args.format)
     period = _resolve_periods(args, trace)[0]
     aggs = windowing.pair_aggregates(ingestion.clip_to_period(trace, period))
-    try:
-        avg, rec = windowing.average_meeting_time(aggs), windowing.recommend_window(aggs)
-        count = windowing.window_count(period, rec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    avg, rec = windowing.average_meeting_time(aggs), windowing.recommend_window(aggs)
+    count = windowing.window_count(period, rec)
     _write_output(f"avg={avg:.2f} recommended={rec:g} windows={count}\n", args.output)
     return EXIT_OK
 
@@ -243,10 +225,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_matrix(args) -> int:
     trace = _load_trace(args.input, args.format)
-    period = _resolve_periods(args, trace)[0]
-    clipped = ingestion.clip_to_period(trace, period)
-    w = _window_width(clipped, period, args.window)
-    snapshots = windowing.build_snapshots(clipped, period, WindowConfig(w=w))
+    snapshots = _snapshots(trace, _resolve_periods(args, trace)[0], args.window)[2]
     matrix = temporal_metrics.temporal_distance_matrix(snapshots)
     _write_output(matrix.to_text() + "\n", args.output)
     return EXIT_OK
@@ -259,10 +238,7 @@ def cmd_convert(args) -> int:
 
 def cmd_generate(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(rwp_gen.RwpParams)}
-    try:
-        params = rwp_gen.RwpParams(**{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    params = rwp_gen.RwpParams(**{k: v for k, v in given.items() if v is not None})
     _write_trace(rwp_gen.generate(params), args.format, args.output)
     return EXIT_OK
 

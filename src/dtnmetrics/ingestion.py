@@ -42,16 +42,16 @@ from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from .trace_model import (AnalysisPeriod, ContactTrace, group_cummax, group_cumsum, groups,
-                          in_row_order, row_order)
+from .trace_model import (AnalysisPeriod, ContactTrace, InputError, group_cummax, group_cumsum,
+                          groups, in_row_order, row_order)
 
 TextSource = Union[str, IO[str], Iterable[str]]
 # Rows the writers format at once.
 _BLOCK_ROWS = 1024
 
 
-class ParseError(ValueError):
-    """Malformed input; carries the 1-based line number when known."""
+class ParseError(InputError):
+    """Malformed input (an InputError); carries the 1-based line number when known."""
 
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
@@ -491,7 +491,7 @@ def write_common_format(trace: ContactTrace) -> str:
 
     Occurrence counts and inter-contact times are freshly derived;
     parse_common_format(write_common_format(t)) reproduces t's events.
-    ValueError if an inter-contact time is not a finite number.
+    InputError if an inter-contact time is not a finite number.
     """
     order, first = trace._by_pair(trace.end, trace.start)
     a, b, start, end = (x[order] for x in (trace.a, trace.b, trace.start, trace.end))
@@ -499,7 +499,7 @@ def write_common_format(trace: ContactTrace) -> str:
     overflow = np.flatnonzero(~np.isfinite(inter))
     if len(overflow):
         k = int(overflow[0])
-        raise ValueError(f"inter-contact time of pair {_pair(trace.labels, a[k], b[k])} is not a "
+        raise InputError(f"inter-contact time of pair {_pair(trace.labels, a[k], b[k])} is not a "
                          f"finite number: {float(start[k])} - {float(start[k - 1])} overflows")
     ids = np.array(trace.labels, dtype=object)
     rows = _blocks("{} {} {} {} {} {}", ids[a], ids[b], start, end, occ, inter)

@@ -21,8 +21,9 @@ holds two float64 and two boolean (nodes - 1) x ticks buffers of about
 positions, 1 to 2 MB. Event times are rounded once per distinct tick.
 
 ``RwpParams`` rejects, before anything is allocated, a run of more than
-``_MAX_TICK_PAIRS`` ticks x pairs or ``_MAX_PAIRS`` pairs, or one whose
-paths may take more than ``_MAX_WAYPOINTS`` waypoints.
+``_MAX_TICK_PAIRS`` ticks x pairs or ``_MAX_PAIRS`` pairs, one whose paths
+may take more than ``_MAX_WAYPOINTS`` waypoints, and one whose squared
+distances or first leg ending past duration may overflow a float.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .trace_model import ContactTrace, group_cumsum, groups
+from .trace_model import ContactTrace, InputError, group_cumsum, groups
 
 # Bounds on the scan, checked before allocation: ticks x pairs sets the time
 # (and the contacts a run can find), pairs alone the per-pair arrays. At the
@@ -73,39 +74,44 @@ class RwpParams:
 
     def __post_init__(self):
         if self.node_count < 2:
-            raise ValueError("node_count must be >= 2")
+            raise InputError("node_count must be >= 2")
         if not self.duration > 0:
-            raise ValueError("duration must be positive")
+            raise InputError("duration must be positive")
         if not self.range > 0:
-            raise ValueError("range must be positive")
+            raise InputError("range must be positive")
         if not 0 < self.speed_min <= self.speed_max:
-            raise ValueError("need 0 < speed_min <= speed_max")
+            raise InputError("need 0 < speed_min <= speed_max")
         if self.pause_max < 0:
-            raise ValueError("pause_max must be >= 0")
+            raise InputError("pause_max must be >= 0")
         if not self.tick > 0:
-            raise ValueError("tick must be positive")
+            raise InputError("tick must be positive")
         if self.area_width <= 0 or self.area_height <= 0:
-            raise ValueError("area dimensions must be positive")
+            raise InputError("area dimensions must be positive")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise InputError("seed must be >= 0")
         sizes = [self.duration, self.speed_max, self.pause_max, self.tick,
                  self.area_width, self.area_height]
         if not np.isfinite(sizes).all():
-            raise ValueError("duration, speed, pause, tick and area must be finite")
+            raise InputError("duration, speed, pause, tick and area must be finite")
         pairs = self.node_count * (self.node_count - 1) // 2
         if pairs > _MAX_PAIRS or (self.duration / self.tick + 1) * pairs > _MAX_TICK_PAIRS:
-            raise ValueError(
+            raise InputError(
                 f"{self.node_count} nodes over {self.duration / self.tick:.2g} ticks is too"
                 f" large: more than {_MAX_PAIRS:.1e} pairs or {_MAX_TICK_PAIRS:.1e} ticks x pairs"
             )
         legs = 3 * self.duration * self.speed_max / max(self.area_width, self.area_height)
         waypoints = self.node_count * (legs + 1) * (2 if self.pause_max > 0 else 1)
         if waypoints > _MAX_WAYPOINTS:
-            raise ValueError(
+            raise InputError(
                 f"{self.node_count} nodes moving up to {self.speed_max:g} m/s for"
                 f" {self.duration:g} s is too large: about {waypoints:.1e} waypoints,"
                 f" more than {_MAX_WAYPOINTS:.1e}"
             )
+        area_sq = self.area_width * self.area_width + self.area_height * self.area_height
+        leg = math.hypot(self.area_width, self.area_height) / self.speed_min + self.pause_max
+        if not (math.isfinite(area_sq) and math.isfinite(self.duration + leg)):
+            raise InputError("area, speed_min or pause_max out of range: a squared distance or"
+                             " the end of a leg across the area may overflow a float")
 
     @property
     def decimals(self) -> int:
@@ -152,7 +158,8 @@ def _waypoint_track(rng: np.random.Generator, p: RwpParams):
         steps = draw[:, 2:]  # travel time, then pause
         np.maximum(np.hypot(move[:, 0], move[:, 1]) / draw[:, 2], 1e-9, out=steps[:, 0])
         steps[0, 0] += t
-        ends = np.cumsum(steps).reshape(batch, -1)
+        with np.errstate(over="ignore"):  # ends that overflow follow the first past duration
+            ends = np.cumsum(steps).reshape(batch, -1)
         over = np.flatnonzero(ends[:, -1] > p.duration)
         n = int(over[0]) + 1 if len(over) else batch
         keep = (steps[:n] > 0).ravel()  # a zero pause adds no point

@@ -100,7 +100,7 @@ def closeness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     the size of i's component, so disconnected graphs stay within [0, 1].
     Equals (N-1)/sum(d) on connected graphs; isolated nodes score 0."""
     c = column_of(g.window.nodes, i)
-    return closeness_centrality_all(g)[c]
+    return _closeness(g, slice(c, c + 1))[0]
 
 
 def betweenness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
@@ -126,13 +126,16 @@ def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
 
 def closeness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     """closeness_centrality of every node, in ascending node id."""
-    reached = g.hops >= 0
+    return _closeness(g, slice(None))
+
+
+def _closeness(g: AggregatedGraph, rows: slice) -> list[CentralityScore]:
+    """closeness_centrality of the nodes of the hop rows ``rows``."""
+    reached = g.hops[rows] >= 0
     sizes = reached.sum(axis=1).tolist()
-    totals = np.where(reached, g.hops, 0).sum(axis=1).tolist()
-    return [
-        CentralityScore(node, (r - 1.0) / total * ((r - 1.0) / (g.n - 1)) if total else 0.0)
-        for node, r, total in zip(g.window.nodes, sizes, totals)
-    ]
+    totals = np.where(reached, g.hops[rows], 0).sum(axis=1).tolist()
+    return [CentralityScore(node, (r - 1.0) / total * ((r - 1.0) / (g.n - 1)) if total else 0.0)
+            for node, r, total in zip(g.window.nodes[rows], sizes, totals)]
 
 
 def static_diameter(g: AggregatedGraph) -> int:

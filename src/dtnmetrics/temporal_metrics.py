@@ -176,9 +176,7 @@ def average_temporal_distance(matrix: TemporalDistanceMatrix, w: float) -> float
 
 def reachable_pair_count(matrix: TemporalDistanceMatrix) -> int:
     """Ordered off-diagonal pairs with a finite temporal distance."""
-    e = matrix.entries
-    finite = int((e >= 0).sum()) - matrix.n  # drop the diagonal zeros
-    return finite
+    return int((matrix.entries >= 0).sum()) - matrix.n  # less the diagonal zeros
 
 
 def temporal_diameter(matrix: TemporalDistanceMatrix, w: float) -> TemporalDiameter:
@@ -203,22 +201,27 @@ def temporal_closeness(
     Unreachable pairs contribute nothing to the sum (they stay in no
     denominator term either; the normalization is W(N-1) regardless).
     """
-    return temporal_closeness_all(matrix, window_count)[matrix.index_of(i)]
+    c = matrix.index_of(i)
+    return _closeness(matrix, window_count, slice(c, c + 1))[0]
 
 
 def temporal_closeness_all(
     matrix: TemporalDistanceMatrix, window_count: int
 ) -> list[CentralityScore]:
     """temporal_closeness of every node, in label order."""
-    n = matrix.n
-    if n < 2:
+    return _closeness(matrix, window_count, slice(None))
+
+
+def _closeness(matrix: TemporalDistanceMatrix, window_count: int, rows: slice):
+    """temporal_closeness of the nodes of the matrix rows ``rows``."""
+    if matrix.n < 2:
         raise ValueError("temporal closeness needs at least 2 nodes")
     if window_count < 1:
         raise ValueError("window count must be >= 1")
-    e = matrix.entries
+    e = matrix.entries[rows]
     totals = np.where(e > 0, e, 0).sum(axis=1).tolist()
-    norm = window_count * (n - 1)
-    return [CentralityScore(i, total / norm) for i, total in zip(matrix.labels, totals)]
+    norm = window_count * (matrix.n - 1)
+    return [CentralityScore(i, total / norm) for i, total in zip(matrix.labels[rows], totals)]
 
 
 def temporal_distance_exact(

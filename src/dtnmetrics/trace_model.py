@@ -23,7 +23,7 @@ All types are immutable after construction and safe to share across
 concurrent readers; the column arrays are read-only. Invariant checking
 lives in :func:`validate_trace`, which reports violations as data
 instead of raising, so that partially broken inputs can still be
-inspected.
+inspected. A check of a caller's input raises :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
+
+
+class InputError(ValueError):
+    """Input a library check declines; the command line exits 2 on it."""
 
 
 @dataclass(frozen=True)
@@ -132,10 +136,12 @@ class ContactTrace:
                          self.start.tolist(), self.end.tolist()))
 
     def contacts_of(self, a: int, b: int) -> tuple[ContactEvent, ...]:
-        """All events of the unordered pair (a, b)."""
-        if a > b:
-            a, b = b, a
-        return tuple(ev for ev in self.events if ev.a == a and ev.b == b)
+        """All events of the unordered pair (a, b), in row order; none for an unknown id."""
+        ids = self.labels
+        lo, hi = sorted(column_of(ids, x) if x in self.nodes else -1 for x in (a, b))
+        rows = (self.a == lo) & (self.b == hi)
+        return tuple(ContactEvent(ids[lo], ids[hi], s, e)
+                     for s, e in zip(self.start[rows].tolist(), self.end[rows].tolist()))
 
 
 def column_of(labels: tuple[int, ...], node: int) -> int:
@@ -278,10 +284,14 @@ class AnalysisPeriod:
     t_max: float
 
     def __post_init__(self):
-        if not self.t_min < self.t_max:
-            raise ValueError(
-                f"analysis period requires t_min < t_max, got [{self.t_min}, {self.t_max}]"
-            )
+        lo, hi = self.t_min, self.t_max
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InputError(f"analysis period needs finite bounds, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise InputError(f"analysis period requires t_min < t_max, got [{lo}, {hi}]")
+        if not math.isfinite(self.span):
+            raise InputError(f"analysis period [{lo}, {hi}] is too long: t_max - t_min is not "
+                             "a finite number")
 
     @property
     def span(self) -> float:
@@ -304,9 +314,9 @@ class WindowConfig:
 
     def __post_init__(self):
         if not 0 < self.w < math.inf:
-            raise ValueError(f"window width must be positive and finite, got {self.w}")
+            raise InputError(f"window width must be positive and finite, got {self.w}")
         if self.horizon is not None and self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
+            raise InputError(f"horizon must be a positive integer, got {self.horizon}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of, row_order
+from .trace_model import (AnalysisPeriod, ContactTrace, InputError, WindowConfig, column_of,
+                          row_order)
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def pair_aggregates(trace: ContactTrace) -> list[PairAggregate]:
 def average_meeting_time(aggregates: list[PairAggregate]) -> float:
     """Sum of contact time over sum of occurrences, across all pairs."""
     if not aggregates:
-        raise ValueError("no contacts in period")
+        raise InputError("no contacts in period")
     total_time = sum(a.total_contact_time for a in aggregates)
     total_occ = sum(a.occurrence_count for a in aggregates)
     return total_time / total_occ
@@ -174,26 +175,25 @@ def average_meeting_time(aggregates: list[PairAggregate]) -> float:
 
 def recommend_window(aggregates: list[PairAggregate]) -> float:
     """Smallest positive multiple of 60 strictly greater than the average
-    meeting time; ValueError if that time or that multiple is not a finite
+    meeting time; InputError if that time or that multiple is not a finite
     number."""
     avg = average_meeting_time(aggregates)
     if not math.isfinite(avg):
-        raise ValueError("average meeting time is not a finite number: the total contact "
+        raise InputError("average meeting time is not a finite number: the total contact "
                          "time overflows")
     try:
         return float((math.floor(avg / 60) + 1) * 60)
     except OverflowError:
-        raise ValueError(f"recommended window is not a finite number: the average meeting "
+        raise InputError(f"recommended window is not a finite number: the average meeting "
                          f"time {avg:g} is too close to the largest float") from None
 
 
 def window_count(period: AnalysisPeriod, w: float) -> int:
     """Number of windows W = ceil((t_max - t_min)/w), at least 1."""
-    if not 0 < w < math.inf:
-        raise ValueError(f"window width must be positive and finite, got {w}")
+    WindowConfig(w)  # the one check of the width
     ratio = period.span / w
     if not math.isfinite(ratio):
-        raise ValueError(f"window {w:g} is too fine: span / width is not a finite number")
+        raise InputError(f"window {w:g} is too fine: span / width is not a finite number")
     nearest = round(ratio)
     if abs(ratio - nearest) < 1e-9 and nearest >= 1:
         return int(nearest)

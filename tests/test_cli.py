@@ -1,5 +1,6 @@
 import argparse
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dtnmetrics
@@ -21,12 +22,17 @@ from dtnmetrics import (
     AnalysisPeriod,
     ContactEvent,
     ContactTrace,
+    PairAggregate,
     SnapshotSequence,
+    WindowConfig,
+    average_meeting_time,
     parse_common_format,
     parse_one_report,
+    recommend_window,
+    window_count,
     write_common_format,
 )
-from dtnmetrics import rwp_gen
+from dtnmetrics import rwp_gen, trace_model
 from dtnmetrics.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -471,6 +477,110 @@ class TestExitCodeContract:
             errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
             assert (rc, len(errors)) in ((EXIT_OK, 0), (EXIT_USAGE, 1)), (argv, err.getvalue())
             assert not caught, (argv, [str(w.message) for w in caught])
+
+
+# Values for each generate flag: small valid ones (repeated, so that more of
+# the runs generate), 0, negatives, denormals, nan, inf and values near the
+# largest float, or any float at all.
+_GEN_FLOATS = st.one_of(
+    st.sampled_from([0.5, 1.0, 3.0, 100.0] * 5
+                    + [0.0, -0.0, -1.0, 5e-324, -5e-324, 2.2e-308, math.nan, math.inf,
+                       -math.inf, 1e308, 1.6e308, _MAX, -1e308, -_MAX]),
+    st.floats())
+
+
+@st.composite
+def _generate_argv(draw):
+    """A generate command line whose every flag is drawn, or left to its
+    default, and that is rejected or generates at most 5 nodes over at most
+    400 ticks and a few thousand waypoints."""
+    given = {"node_count": draw(st.sampled_from([2, 3, 4, 5] * 3 + [1, 0, -1])),
+             "duration": draw(_GEN_FLOATS)}
+    argv = ["generate", f"--nodes={given['node_count']}", f"--duration={given['duration']!r}"]
+    if draw(st.booleans()):
+        given["seed"] = draw(st.sampled_from([0, 7, -1]))
+        argv.append(f"--seed={given['seed']}")
+    for name in ("range", "area_width", "area_height", "speed_min", "speed_max", "pause_max",
+                 "tick"):
+        if draw(st.booleans()):
+            given[name] = draw(_GEN_FLOATS)
+            argv.append(f"--{name.replace('_', '-')}={given[name]!r}")
+    try:
+        p = rwp_gen.RwpParams(**given)
+    except ValueError:
+        return argv
+    legs = p.duration * p.speed_max / max(p.area_width, p.area_height)
+    assume(p.tick_count <= 400 and legs <= 1000)
+    return argv
+
+
+class TestGenerateExitCodeContract:
+    """generate's parameters are generated from or rejected with exit 2 and
+    one error line, and never make Python warn."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_generate_argv())
+    # a pause, and an area, whose sums of times or squared distances overflow
+    @example(["generate", "--nodes", "3", "--duration", "100", "--tick", "1",
+              "--pause-max", "1e308"])
+    @example(["generate", "--nodes", "3", "--duration", "100", "--tick", "1",
+              "--area-width", "1e308"])
+    def test_parameters_exit_zero_or_two(self, argv):
+        out, err = StringIO(), StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+                redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert (rc, len(errors)) in ((EXIT_OK, 0), (EXIT_USAGE, 1)), (argv, err.getvalue())
+        assert not caught, (argv, [str(w.message) for w in caught])
+
+
+class TestInputError:
+    @pytest.mark.parametrize("check, message", [
+        (lambda: AnalysisPeriod(math.nan, 1.0),
+         "analysis period needs finite bounds, got [nan, 1.0]"),
+        (lambda: AnalysisPeriod(5.0, 5.0),
+         "analysis period requires t_min < t_max, got [5.0, 5.0]"),
+        (lambda: AnalysisPeriod(-1e308, 1e308),
+         "analysis period [-1e+308, 1e+308] is too long: t_max - t_min is not a finite number"),
+        (lambda: WindowConfig(0), "window width must be positive and finite, got 0"),
+        (lambda: WindowConfig(60, horizon=0), "horizon must be a positive integer, got 0"),
+        (lambda: window_count(AnalysisPeriod(0, 10), -1.0),
+         "window width must be positive and finite, got -1.0"),
+        (lambda: window_count(AnalysisPeriod(0, 100), 5e-324),
+         "window 4.94066e-324 is too fine: span / width is not a finite number"),
+        (lambda: average_meeting_time([]), "no contacts in period"),
+        (lambda: recommend_window([PairAggregate((1, 2), 1.6e308, 1),
+                                   PairAggregate((3, 4), 1.6e308, 1)]),
+         "average meeting time is not a finite number: the total contact time overflows"),
+        (lambda: recommend_window([PairAggregate((3, 7), _MAX, 1)]),
+         "recommended window is not a finite number: the average meeting time 1.79769e+308 is "
+         "too close to the largest float"),
+        (lambda: rwp_gen.RwpParams(1, 10), "node_count must be >= 2"),
+        (lambda: rwp_gen.RwpParams(3, 10, speed_max=math.inf),
+         "duration, speed, pause, tick and area must be finite"),
+        (lambda: rwp_gen.RwpParams(3, 1e9, tick=1),
+         "3 nodes over 1e+09 ticks is too large: more than 1.0e+06 pairs or 1.3e+08 ticks x "
+         "pairs"),
+        (lambda: rwp_gen.RwpParams(2, 1e8, tick=1e3, speed_min=1, speed_max=1, area_width=10,
+                                   area_height=10),
+         "2 nodes moving up to 1 m/s for 1e+08 s is too large: about 1.2e+08 waypoints, more "
+         "than 1.0e+06"),
+        (lambda: rwp_gen.RwpParams(3, 100, tick=1, area_width=1e308),
+         "area, speed_min or pause_max out of range: a squared distance or the end of a leg "
+         "across the area may overflow a float"),
+        (lambda: write_common_format(ContactTrace.from_events(
+            [ContactEvent(1, 7, -1e308, 0.0), ContactEvent(1, 7, 1e308, 1e308)])),
+         "inter-contact time of pair (1, 7) is not a finite number: 1e+308 - -1e+308 overflows"),
+        (lambda: parse_common_format("1 1 0 1 1 0\n"), "line 1: self-contact of node 1"),
+    ])
+    def test_library_checks_raise_it(self, check, message):
+        # the one type main turns into exit 2, a ValueError to library callers
+        assert InputError is trace_model.InputError
+        with pytest.raises(InputError) as caught:
+            check()
+        assert str(caught.value) == message
 
 
 class TestBuildReport:
