@@ -12,7 +12,7 @@ The redundant common-format columns (occurrence count, inter-contact
 time) are always re-derived and never trusted; mismatches surface as
 warnings. Overlapping intervals for the same pair are merged into one
 event spanning their union before analysis, so a pair's airtime is
-never double counted.
+never double counted. The writers print ``_BLOCK_ROWS`` rows per ``%`` call.
 
 A str text (the command line passes one) is first offered to numpy's C
 reader, one ``np.loadtxt`` call (``_clean_rows``), whose columns get the
@@ -42,11 +42,11 @@ from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from .trace_model import (AnalysisPeriod, ContactTrace, InputError, group_cummax, group_cumsum,
-                          groups, in_row_order, row_order)
+from .trace_model import (AnalysisPeriod, ContactTrace, InputError, distinct, group_cummax,
+                          group_cumsum, groups, in_row_order, row_order)
 
 TextSource = Union[str, IO[str], Iterable[str]]
-# Rows the writers format at once.
+# Rows the writers hold as Python values and print with one ``%`` format call.
 _BLOCK_ROWS = 1024
 
 
@@ -151,15 +151,6 @@ def _clean_rows(text: TextSource, dtype: np.dtype) -> Optional[tuple[int, list[n
     return 1 + header, _columns(rows)
 
 
-def _distinct(column: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The distinct values of an integer column, ascending, and the index of
-    each row's value among them."""
-    order, first = groups(column)
-    index = np.empty(len(column), np.intp)
-    index[order] = np.cumsum(first) - 1
-    return column[order][first].tolist(), index
-
-
 def _merge_pair_overlaps(trace: ContactTrace) -> ContactTrace:
     """Merge strictly overlapping intervals of the same pair into their union.
 
@@ -209,8 +200,8 @@ def _clean_common(text: TextSource) -> Optional[tuple]:
     if not (all(np.isfinite(c).all() for c in (start, end, gap)) and (start <= end).all()
             and (a != b).all()):
         return None
-    ids, nodes = _distinct(np.concatenate([a, b]))
-    counts, count = _distinct(count)
+    ids, nodes = distinct(np.concatenate([a, b]))
+    counts, count = distinct(count)
     m = len(a)
     return ids, counts, None, (np.arange(first, first + m), nodes[:m], nodes[m:], start, end,
                                count, gap)
@@ -305,7 +296,7 @@ def _clean_one(text: TextSource) -> Optional[tuple]:
     if not ((op == b"CONN").all() and (up | (action == b"down")).all() and np.isfinite(t).all()
             and (n1 != n2).all()) or _signed_id(text):
         return None
-    ids, nodes = _distinct(np.concatenate([n1, n2]))
+    ids, nodes = distinct(np.concatenate([n1, n2]))
     m = len(t)
     return ids, None, [], (np.arange(first, first + m), t, np.ones(m, bool), nodes[:m],
                            nodes[m:], up)
@@ -460,25 +451,26 @@ def clip_to_period(trace: ContactTrace, period: AnalysisPeriod) -> ContactTrace:
     return clipped if in_row_order(start, end, a, b) else clipped._time_ordered()
 
 
-def _times(t: np.ndarray) -> np.ndarray:
-    """The times as an object array that formats as the writers print them:
-    an int where the time is whole, else the float (whose str is its repr)."""
-    out = t.astype(object)
-    whole = t == np.trunc(t)
-    out[whole] = list(map(int, t[whole].tolist()))
-    return out
-
-
-def _blocks(fmt: str, *columns: np.ndarray) -> list[str]:
-    """The rows of the columns put through ``fmt``, one line each, joined a
-    block of ``_BLOCK_ROWS`` rows at a time so that only one block's Python
-    values exist at once; float columns print as ``_times``."""
-    out = []
+def _text(row: str, *columns: np.ndarray) -> str:
+    """The rows of the columns through the ``%`` format ``row``, one ``%``
+    call per block of ``_BLOCK_ROWS`` rows so that only one block's Python
+    values exist at once. A float column prints a whole time as an int and
+    any other as the float, whose str is its repr."""
+    width, out = len(columns), []
     for k in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [c[k:k + _BLOCK_ROWS] for c in columns]
-        values = [_times(c) if c.dtype == float else c.tolist() for c in block]
-        out.append("\n".join(map(fmt.format, *values)))
-    return out
+        flat = [None] * (width * len(columns[0][k:k + _BLOCK_ROWS]))
+        for j, column in enumerate(columns):
+            c = column[k:k + _BLOCK_ROWS]
+            if c.dtype == float:
+                whole = c == np.trunc(c)
+                if whole.all() and (np.abs(c) < 2.0 ** 53).all():
+                    c = c.astype(np.int64)
+                else:
+                    c = c.astype(object)
+                    c[whole] = list(map(int, c[whole].tolist()))
+            flat[j::width] = c.tolist()
+        out.append((row * (len(flat) // width)) % tuple(flat))
+    return "".join(out)
 
 
 COMMON_FORMAT_HEADER = (
@@ -502,8 +494,8 @@ def write_common_format(trace: ContactTrace) -> str:
         raise InputError(f"inter-contact time of pair {_pair(trace.labels, a[k], b[k])} is not a "
                          f"finite number: {float(start[k])} - {float(start[k - 1])} overflows")
     ids = np.array(trace.labels, dtype=object)
-    rows = _blocks("{} {} {} {} {} {}", ids[a], ids[b], start, end, occ, inter)
-    return "\n".join([COMMON_FORMAT_HEADER, *rows]) + "\n"
+    return COMMON_FORMAT_HEADER + _text("\n%s %s %s %s %s %s", ids[a], ids[b], start, end, occ,
+                                        inter) + "\n"
 
 
 def write_one_report(trace: ContactTrace) -> str:
@@ -514,6 +506,5 @@ def write_one_report(trace: ContactTrace) -> str:
     order = row_order(times)
     down, row = np.divmod(order, len(trace))
     ids, kind = np.array(trace.labels, dtype=object), np.array(["up", "down"], dtype=object)
-    rows = _blocks("{} CONN {} {} {}", times[order], ids[trace.a[row]], ids[trace.b[row]],
-                   kind[down])
-    return "\n".join(rows) + "\n"
+    return _text("\n%s CONN %s %s %s", times[order], ids[trace.a[row]], ids[trace.b[row]],
+                 kind[down])[1:] + "\n"

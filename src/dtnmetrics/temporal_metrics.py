@@ -101,7 +101,8 @@ class TemporalDistanceMatrix:
 
     def to_text(self) -> str:
         """Row-major bracketed grid, -1 for unreachable."""
-        rows = ("[" + ", ".join(map(str, row)) + "]" for row in self.entries.tolist())
+        row = "[" + ", ".join(["%d"] * self.n) + "]"
+        rows = (row % tuple(r) for r in self.entries.tolist())
         return "[" + ",\n ".join(rows) + "]" if self.n else ""
 
 

@@ -257,6 +257,17 @@ def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
+def distinct(column: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The distinct values of a nonempty integer column, ascending, and the index of
+    each row's value among them, from a mask of its ranks (see :func:`_ranks`)."""
+    rank, count = _ranks(column)
+    present = np.zeros(count, bool)
+    present[rank] = True
+    value = np.empty(count, column.dtype)
+    value[rank] = column
+    return value[present].tolist(), (np.cumsum(present) - 1)[rank]
+
+
 def group_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     """The running sum of ``values`` within each group of rows that ``first`` opens."""
     total = np.cumsum(values)

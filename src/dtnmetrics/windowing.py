@@ -129,12 +129,15 @@ class SnapshotSequence:
         the minimum of the rows ``H[nxt[s + 1, m]]`` (-1 read as +inf), in
         O(N * total occupancy) element operations and at most W steps.
         """
-        occ, count, nxt = self.occupancy, self.window_count, self.next_occurrence
+        count = self.window_count
+        win, col = np.nonzero(self.occupancy)  # by window, then column
+        succ = self.next_occurrence[win + 1, col]
+        runs = np.flatnonzero(np.diff(win, prepend=-1)).tolist()
         H = np.full((count + 1, len(self.nodes)), count)  # count reads as +inf
-        for s in np.flatnonzero(occ.any(axis=1))[::-1]:
-            cols = np.flatnonzero(occ[s])
-            H[s] = H[nxt[s + 1, cols]].min(axis=0)
-            H[s, cols] = s
+        for lo, hi in reversed(list(pairwise([*runs, len(win)]))):
+            s = win[lo]
+            H[s] = H[succ[lo:hi]].min(axis=0)
+            H[s, col[lo:hi]] = s
         return np.where(H[:count] < count, H[:count], -1)
 
     def occurrence_windows(self, node: int) -> tuple[int, ...]:
@@ -227,10 +230,9 @@ def build_snapshots(
     key.sort()
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    window, pair = np.divmod(key[first], n * n)
-    return SnapshotSequence(
-        window_width=float(w),
-        window_count=count,
-        contacts=np.stack([window, *np.divmod(pair, n)], axis=1),
-        nodes=trace.labels,
-    )
+    key = key[first]
+    contacts = np.empty((len(key), 3), key.dtype)
+    np.divmod(key, n * n, out=(contacts[:, 0], key))
+    np.divmod(key, n, out=(contacts[:, 1], contacts[:, 2]))
+    return SnapshotSequence(window_width=float(w), window_count=count, contacts=contacts,
+                            nodes=trace.labels)

@@ -834,6 +834,66 @@ class TestStreamedBlockBoundaries:
         assert warnings == []
 
 
+# Times that take every way the writers print a time, to be mixed in one block:
+# whole, fractional, negative, -0.0, past 2^53 and printed through ``int``
+# (1e16, 2^53 + 2), and a repr with an exponent; and ids past int64.
+_SEAM_TIMES = (0.0, 1.0, 2.5, -3.0, -7.25, -0.0, 1e16, float(2**53 + 2), 1e-05, 1234.75)
+_SEAM_IDS = (0, 7, 2**53, 2**63, 2**64 + 1)
+_SEAM_PAIRS = [(a, b) for a in range(len(_SEAM_IDS)) for b in range(a + 1, len(_SEAM_IDS))]
+
+
+def _seam_trace(rows, times=_SEAM_TIMES):
+    """A trace of ``rows`` contacts, unsorted and unmerged, cycling through
+    the pairs and ``times`` so that every block mixes them."""
+    a, b = zip(*(_SEAM_PAIRS[k % len(_SEAM_PAIRS)] for k in range(rows)))
+    start = [times[k % len(times)] for k in range(rows)]
+    end = [max(s, times[(3 * k + 1) % len(times)]) for k, s in enumerate(start)]
+    return ContactTrace(_SEAM_IDS, a, b, start, end, min(start), max(end))
+
+
+@st.composite
+def seam_traces(draw):
+    """Up to 12 contacts drawn from the seam ids and times."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(_SEAM_PAIRS), st.sampled_from(_SEAM_TIMES),
+                                   st.sampled_from(_SEAM_TIMES)), max_size=12))
+    a, b, start, end = ([p[0] for p, _, _ in rows], [p[1] for p, _, _ in rows],
+                        [min(s, e) for _, s, e in rows], [max(s, e) for _, s, e in rows])
+    return ContactTrace(_SEAM_IDS, a, b, start, end, 0.0, 0.0)
+
+
+class TestWritersAcrossBlockSeams:
+    """The writers print a block of rows with one ``%`` call; a seam between
+    blocks, and every way of printing a time within a block, must give the
+    oracles' bytes."""
+
+    @staticmethod
+    def same(got, want):
+        # as lists of lines, whose first difference pytest shows without
+        # diffing two long texts
+        assert got.split("\n") == want.split("\n")
+
+    @pytest.mark.parametrize("rows", _SIZES)
+    @pytest.mark.parametrize("times", [_SEAM_TIMES, (0.0, 3.0, -0.0, -8.0, 2.0**53 - 1)])
+    def test_rows_around_a_block(self, rows, times):
+        trace = _seam_trace(rows, times)
+        self.same(write_common_format(trace), oracles.common_format_text(trace))
+        self.same(write_one_report(trace), oracles.one_report_text(trace))
+
+    def test_a_block_mixes_every_time(self):
+        text = write_one_report(_seam_trace(_BLOCK_ROWS + 1))
+        for token in ("-7.25", "1e-05", "1234.75", "10000000000000000", str(2**53 + 2),
+                      str(2**64 + 1)):
+            assert f"\n{token} " in text or f" {token} " in text
+        assert "-0 " not in text and "-0.0" not in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(seam_traces(), st.integers(1, 3))
+    def test_small_blocks(self, trace, block):
+        with mock.patch.object(ingestion, "_BLOCK_ROWS", block):
+            self.same(write_common_format(trace), oracles.common_format_text(trace))
+            self.same(write_one_report(trace), oracles.one_report_text(trace))
+
+
 def _tabbed(text: str) -> str:
     """``text`` with a tab between the first two fields of each line and no
     final line end, as a benchmark input may come."""

@@ -315,3 +315,17 @@ def test_generate_bytes_pinned(tmp_path, seed, fmt):
     else:
         want = GENERATE_SHA256[seed, fmt]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_benchmark_chain_bytes_pinned(tmp_path):
+    # perfbench/run.py's synth-days convert and matrix on the seed-1 trace,
+    # against the fingerprints every benchmark run checks
+    one, common, matrix = (str(tmp_path / name) for name in ("rwp.one", "rwp.txt", "matrix.txt"))
+    assert main([*BENCH_GENERATE, "--seed", "1", "--format", "one", "--output", one]) == 0
+    assert main(["convert", "--input", one, "--from", "one", "--to", "common",
+                 "--output", common]) == 0
+    assert main(["matrix", "--input", common, "--tmin", "0", "--tmax", "3000", "--window", "60",
+                 "--output", matrix]) == 0
+    want = json.loads(BASELINE.read_text(encoding="utf-8"))["fingerprints"]["synth-days"]["1"]
+    for command, path in (("convert", common), ("matrix", matrix)):
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == want[command], command
