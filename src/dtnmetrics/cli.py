@@ -253,18 +253,7 @@ def _add_io_flags(p):
     p.add_argument("--tmax", type=float, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dtnmetrics",
-        description="Temporal-graph metrics for DTN contact traces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("window", help="recommend a time-window size")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_window)
-
-    p = sub.add_parser("analyze", help="full metrics report for one or more periods")
+def _analyze_flags(p):
     _add_io_flags(p)
     p.add_argument(
         "--period",
@@ -276,21 +265,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--report-format", choices=("table", "delimited"), default="table"
     )
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("matrix", help="print the temporal distance matrix")
+
+def _matrix_flags(p):
     _add_io_flags(p)
     p.add_argument("--window", type=float, default=None, help="window width override")
-    p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("convert", help="convert between trace formats")
+
+def _convert_flags(p):
     p.add_argument("--input", required=True)
     p.add_argument("--from", dest="from", choices=("common", "one"), required=True)
     p.add_argument("--to", choices=("common", "one"), required=True)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("generate", help="synthesize a random-waypoint trace")
+
+def _generate_flags(p):
     # One flag per RwpParams field, which holds the defaults.
     hints = get_type_hints(rwp_gen.RwpParams)
     for f in fields(rwp_gen.RwpParams):
@@ -298,13 +287,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, dest=f.name, type=hints[f.name], required=f.default is MISSING)
     p.add_argument("--format", choices=("common", "one"), default="common")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_generate)
+
+
+# name: (help, flags, command)
+_SUBCOMMANDS = {
+    "window": ("recommend a time-window size", _add_io_flags, cmd_window),
+    "analyze": ("full metrics report for one or more periods", _analyze_flags, cmd_analyze),
+    "matrix": ("print the temporal distance matrix", _matrix_flags, cmd_matrix),
+    "convert": ("convert between trace formats", _convert_flags, cmd_convert),
+    "generate": ("synthesize a random-waypoint trace", _generate_flags, cmd_generate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with the flags of every subcommand or, given one's
+    name, of that one only: the others then parse no flag, but top-level
+    help, usage and errors read the same."""
+    parser = argparse.ArgumentParser(
+        prog="dtnmetrics",
+        description="Temporal-graph metrics for DTN contact traces",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_flags, func) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option but -h, so its first other word names the subcommand
+    named = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(named).parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -32,7 +32,10 @@ time-expanded graph (Kim & Anderson, PRE 2012) in one sweep over
 ``window_graphs``, sources as rows and nodes as columns, every source
 seeded before it starts. Each window's 0/1 adjacency is filled from its
 contacts both ways; one matmul with it per level (hops less the row's
-least hops in the component) goes up, then down. The way down measures
+least hops in the component) goes up, then down. A matching window, where
+no two contacts share a node, gets no adjacency: each contact is a
+component, so one closed-form hop to each column's mate settles it both
+ways, the matmuls' sums less their exact zeros. The way down measures
 each window's levels from its post-window hops, so the log holds only the
 pre-window hops and path counts. On one window it is Brandes' BFS.
 """
@@ -345,7 +348,7 @@ def _block_credit(
     h = np.full((len(sources), len(snapshots.nodes)), _NO_HOPS)
     sigma = np.zeros(h.shape)
     h[rows, sources], sigma[rows, sources] = 0, 1.0
-    graphs = snapshots.window_graphs
+    graphs, mates = snapshots.window_graphs, np.arange(len(snapshots.nodes)) ^ 1
     log = []
     for t in range(start, snapshots.window_count):
         cols = graphs[t][0]
@@ -353,16 +356,23 @@ def _block_credit(
             continue
         h_pre, sigma_pre = h.take(cols, axis=1), sigma.take(cols, axis=1)
         adj, level, base = _levels(graphs[t], h_pre)  # level 0 in a component not yet reached
-        st, frontier, top = sigma_pre.copy(), level == 0, 0
-        while True:
-            push = np.where(frontier, st, 0.0) @ adj
-            lower = (push > 0.0) & (level > top + 1)
-            level[lower], st[lower] = top + 1, 0.0
-            frontier = level == top + 1
-            if not np.count_nonzero(frontier):
-                break  # a component's levels have no gap
-            np.add(st, push, out=st, where=frontier)
-            top += 1
+        if adj is None:  # a matching: a column above level 1 drops to 1 with its mate's
+            # journeys, a column at level 1 adds them (the mate is at level 0)
+            mate = sigma_pre.take(mates[: len(cols)], axis=1)
+            st = np.where(level > 1, mate, sigma_pre)
+            np.add(st, mate, out=st, where=level == 1)
+            np.minimum(level, 1, out=level)
+        else:
+            st, frontier, top = sigma_pre.copy(), level == 0, 0
+            while True:
+                push = np.where(frontier, st, 0.0) @ adj
+                lower = (push > 0.0) & (level > top + 1)
+                level[lower], st[lower] = top + 1, 0.0
+                frontier = level == top + 1
+                if not np.count_nonzero(frontier):
+                    break  # a component's levels have no gap
+                np.add(st, push, out=st, where=frontier)
+                top += 1
         ht = level + base
         r, c = np.nonzero((h_pre == _NO_HOPS) & (ht < _NO_HOPS))  # arrivals
         hops[sources[r], cols[c]] = ht[r, c]
@@ -378,13 +388,18 @@ def _block_credit(
             credit += (later - t - 1) * delta  # the edgeless windows between
         ht, st = h.take(cols, axis=1), sigma.take(cols, axis=1)
         adj, level, _ = _levels(graphs[t], ht)
-        top, arrived = int(level.max()), (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
+        arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
         norm, dt = np.maximum(st, 1.0), delta.take(cols, axis=1)
-        above = level == top
-        for x in range(top - 1, -1, -1):
-            pushed = np.where(above, (dt + arrived) / norm, 0.0) @ adj
-            above = level == x
-            dt = np.where(above, dt + st * pushed, dt)
+        if adj is None:  # a matching: a level-0 column takes its level-1 mate's share
+            pushed = np.where(level == 1, (dt + arrived) / norm, 0.0)
+            dt += st * pushed.take(mates[: len(cols)], axis=1)
+        else:
+            top = int(level.max())
+            above = level == top
+            for x in range(top - 1, -1, -1):
+                pushed = np.where(above, (dt + arrived) / norm, 0.0) @ adj
+                above = level == x
+                dt = np.where(above, dt + st * pushed, dt)
         share = (dt + arrived) / norm
         delta[:, cols] = dt
         credit += delta
@@ -396,14 +411,20 @@ def _block_credit(
     return credit.sum(axis=0)
 
 
-def _levels(graph: tuple[np.ndarray, ...], h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One window's 0/1 adjacency, filled from its contacts both ways; the
-    levels of the rows x occupants hops ``h``, each less its row's least
-    hops in its component; and those least hops. A window never moves its
-    level-0 states, so its pre- and post-window hops give the same least
-    hops, and after it a component's levels run 0..max with no gap."""
+def _levels(graph: tuple[np.ndarray, ...], h: np.ndarray) -> tuple[Optional[np.ndarray], ...]:
+    """One window's 0/1 adjacency, filled from its contacts both ways, or
+    None for a matching, where the contacts have twice as many occupants:
+    no two share one, so each contact is a component, its columns adjacent
+    (column c's mate is ``c ^ 1``), and the sweep settles the window in one
+    closed-form hop with no adjacency. Then the levels of the rows x
+    occupants hops ``h``, each less its row's least hops in its component;
+    and those least hops. A window never moves its level-0 states, so its
+    pre- and post-window hops give the same least hops, and after it a
+    component's levels run 0..max with no gap."""
     cols, u, v, comp, firsts = graph
-    adj = np.zeros((len(cols), len(cols)))
-    adj[u, v] = adj[v, u] = 1.0
+    adj = None
+    if 2 * len(u) > len(cols):
+        adj = np.zeros((len(cols), len(cols)))
+        adj[u, v] = adj[v, u] = 1.0
     base = np.minimum.reduceat(h, firsts, axis=1).take(comp, axis=1)
     return adj, h - base, base

@@ -12,11 +12,12 @@ fixpoint, journey hops by a breadth-first search per window and source,
 random-waypoint contacts by one scan step per tick, the trace writers by
 sorting one Python row per line, the parsers by one Python step per line,
 and the overlap merge, the period clip and the pair aggregates by one
-ContactEvent at a time. Four are earlier builds kept as references: the
+ContactEvent at a time. Earlier builds are kept as references: the
 window graphs cut from flat arrays by ``np.split``, the distance matrix
-text built one entry at a time, and the time order, overlap merge and
-period clip sorted by ``np.lexsort`` (the merge's running max from
-``np.searchsorted`` ranks).
+text built one entry at a time, the time order, overlap merge and period
+clip sorted by ``np.lexsort`` (the merge's running max from
+``np.searchsorted`` ranks), and the betweenness sweep's kernel,
+``_block_credit`` and ``_levels``, with a dense adjacency in every window.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from dtnmetrics import ContactEvent, ContactTrace, PairAggregate, window_count
+from dtnmetrics import ContactEvent, ContactTrace, PairAggregate, temporal_metrics, window_count
 from dtnmetrics.ingestion import (
     COMMON_FORMAT_HEADER,
     ParseError,
@@ -547,6 +548,97 @@ def journey_hops(snapshots):
 
 
 _CHUNK_TICKS = 20000  # bounds position-buffer memory for long runs
+
+
+# The sweep kernel as it was before matching windows took a closed-form hop:
+# every occupied window builds its dense 0/1 adjacency and walks its levels
+# with one matmul per level. Copied verbatim from ``temporal_metrics``.
+_NO_HOPS = temporal_metrics._NO_HOPS
+
+
+@np.errstate(over="raise", invalid="raise")
+def _block_credit(
+    snapshots: SnapshotSequence, sources: np.ndarray, start: int, pending: int, hops: np.ndarray
+) -> np.ndarray:
+    """Summed dependencies of every column on the journeys of one block of
+    sources (the rows), swept from ``start``, the first source's first
+    occurrence, to the last window or until the ``pending`` (row, target)
+    states are all reached; fills the sources' rows of ``hops`` where each
+    state is first reached.
+
+    ``h`` counts the fewest cumulative edge hops to a node, ``sigma`` the
+    journeys taking them; edge u -> v is tight when ``h[u] + 1 == h[v]``.
+    Each source's own state is seeded (0 hops, one journey) before the
+    sweep, so it enters at its first occurrence. A carry edge joins a
+    node's states in consecutive windows where its pre-window ``h`` is
+    finite and unchanged; where it is infinite the node arrives.
+    """
+    rows = np.arange(len(sources))
+    h = np.full((len(sources), len(snapshots.nodes)), _NO_HOPS)
+    sigma = np.zeros(h.shape)
+    h[rows, sources], sigma[rows, sources] = 0, 1.0
+    graphs = snapshots.window_graphs
+    log = []
+    for t in range(start, snapshots.window_count):
+        cols = graphs[t][0]
+        if cols.size == 0:
+            continue
+        h_pre, sigma_pre = h.take(cols, axis=1), sigma.take(cols, axis=1)
+        adj, level, base = _levels(graphs[t], h_pre)  # level 0 in a component not yet reached
+        st, frontier, top = sigma_pre.copy(), level == 0, 0
+        while True:
+            push = np.where(frontier, st, 0.0) @ adj
+            lower = (push > 0.0) & (level > top + 1)
+            level[lower], st[lower] = top + 1, 0.0
+            frontier = level == top + 1
+            if not np.count_nonzero(frontier):
+                break  # a component's levels have no gap
+            np.add(st, push, out=st, where=frontier)
+            top += 1
+        ht = level + base
+        r, c = np.nonzero((h_pre == _NO_HOPS) & (ht < _NO_HOPS))  # arrivals
+        hops[sources[r], cols[c]] = ht[r, c]
+        h[:, cols], sigma[:, cols] = ht, st
+        log.append((t, h_pre, sigma_pre))
+        pending -= len(r)
+        if pending == 0:
+            break
+    delta, credit, later = np.zeros(h.shape), np.zeros(h.shape), log[-1][0] + 1
+    for t, h_pre, sigma_pre in reversed(log):
+        cols = graphs[t][0]
+        if later > t + 1:
+            credit += (later - t - 1) * delta  # the edgeless windows between
+        ht, st = h.take(cols, axis=1), sigma.take(cols, axis=1)
+        adj, level, _ = _levels(graphs[t], ht)
+        top, arrived = int(level.max()), (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
+        norm, dt = np.maximum(st, 1.0), delta.take(cols, axis=1)
+        above = level == top
+        for x in range(top - 1, -1, -1):
+            pushed = np.where(above, (dt + arrived) / norm, 0.0) @ adj
+            above = level == x
+            dt = np.where(above, dt + st * pushed, dt)
+        share = (dt + arrived) / norm
+        delta[:, cols] = dt
+        credit += delta
+        # unreached states carry sigma 0
+        delta[:, cols] = np.where(h_pre == ht, sigma_pre * share, 0.0)
+        h[:, cols], sigma[:, cols] = h_pre, sigma_pre
+        later = t
+    credit[rows, sources] = 0.0
+    return credit.sum(axis=0)
+
+
+def _levels(graph: tuple[np.ndarray, ...], h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One window's 0/1 adjacency, filled from its contacts both ways; the
+    levels of the rows x occupants hops ``h``, each less its row's least
+    hops in its component; and those least hops. A window never moves its
+    level-0 states, so its pre- and post-window hops give the same least
+    hops, and after it a component's levels run 0..max with no gap."""
+    cols, u, v, comp, firsts = graph
+    adj = np.zeros((len(cols), len(cols)))
+    adj[u, v] = adj[v, u] = 1.0
+    base = np.minimum.reduceat(h, firsts, axis=1).take(comp, axis=1)
+    return adj, h - base, base
 
 
 def waypoint_track(rng: np.random.Generator, p):

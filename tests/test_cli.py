@@ -639,6 +639,46 @@ class TestBuildReport:
         assert "(" in text and ")" in text
 
 
+SUBCOMMANDS = ("window", "analyze", "matrix", "convert", "generate")
+
+
+class TestParserPerSubcommand:
+    """``main`` adds the flags of the subcommand it is given only; what the
+    parser prints must not show it."""
+
+    ARGVS = [
+        ["--help"], ["-h"], [], ["bogus"], ["bogus", "--input", "x"], ["-h", "analyze"],
+        ["--bogus", "matrix"], ["--", "window", "--help"],
+        *([name, "--help"] for name in SUBCOMMANDS),
+        *([name] for name in SUBCOMMANDS),
+        *([name, "--bogus"] for name in SUBCOMMANDS),
+        ["analyze", "--input"], ["matrix", "--input", "x", "--window", "wide"],
+        ["convert", "--input", "x", "--from", "xml", "--to", "one"],
+        ["generate", "--nodes", "3", "--duration", "9", "--seed", "1.5"],
+        ["window", "--input", "x", "--period", "0:1"],
+    ]
+
+    @staticmethod
+    def printed(parse, argv):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_help_and_usage_errors_are_the_full_parsers(self, argv):
+        code, out, err = self.printed(main, argv)
+        assert (code, out, err) == self.printed(build_parser().parse_args, argv)
+        assert out or err
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_only_the_named_subcommand_gets_flags(self, name):
+        sub = next(a for a in build_parser(name)._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flagged = [n for n, p in sub.choices.items() if len(p._actions) > 1]  # more than -h
+        assert flagged == [name]
+
+
 class TestExitCodes:
     def test_internal_error_is_exit_one(self, monkeypatch, six_node_file):
         import dtnmetrics.cli as cli_mod

@@ -16,7 +16,9 @@ Snapshot placement is also fuzzed with float-noise times against the
 scalar placement loop, with node ids beyond float64 precision, and the
 infection table against the forward build on raw occupancy arrays. The
 window graphs are held to the ``np.split`` build on those sequences and on
-empty-window cases.
+empty-window cases. On sequences whose windows are all matchings, or mix
+single contacts with larger components, the sweep's closed-form hop is held
+bit for bit to the dense kernel it replaced in matching windows.
 """
 
 from __future__ import annotations
@@ -485,3 +487,105 @@ def test_no_contacts_give_zero_scores_and_no_journeys():
     scores, hops = shortest_journeys(snaps)
     assert [s.value for s in scores] == [0.0] * 4
     assert hops.tolist() == np.where(np.eye(4, dtype=bool), 0, -1).tolist()
+
+
+def _sequence(n, W, rows):
+    contacts = np.array(sorted(rows), dtype=np.intp).reshape(-1, 3)
+    return SnapshotSequence(1.0, W, contacts, tuple(range(n)))
+
+
+@st.composite
+def matching_sequences(draw, max_nodes=12, max_windows=30):
+    """Every window a random matching: disjoint pairs of a shuffled node set,
+    from none to all of them."""
+    n, W = draw(st.integers(2, max_nodes)), draw(st.integers(1, max_windows))
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = set()
+    for t in range(W):
+        pairs = rnd.permutation(n)[: 2 * rnd.integers(0, n // 2 + 1)].reshape(-1, 2)
+        rows.update((t, min(a, b), max(a, b)) for a, b in pairs.tolist())
+    return _sequence(n, W, rows)
+
+
+@st.composite
+def mixed_component_sequences(draw, max_nodes=12, max_windows=30):
+    """Windows that cut a shuffled node set into absent nodes, single
+    contacts and random trees of 3 to 5 nodes (a cycle closed in some), so
+    one-contact components sit next to larger ones."""
+    n, W = draw(st.integers(3, max_nodes)), draw(st.integers(1, max_windows))
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = set()
+    for t in range(W):
+        order, at = rnd.permutation(n), 0
+        while at < n:
+            size = int(rnd.choice([1, 2, 2, 3, 4, 5]))
+            group = order[at : at + size].tolist()
+            at += size
+            edges = [(group[k], group[rnd.integers(0, k)]) for k in range(1, len(group))]
+            if len(group) >= 3 and rnd.random() < 0.3:
+                edges.append((group[0], group[-1]))
+            rows.update((t, min(a, b), max(a, b)) for a, b in edges)
+    return _sequence(n, W, rows)
+
+
+def _sweep_and_dense_sweep(snaps):
+    """``shortest_journeys`` as built and with the dense oracle kernel, and
+    per ``_levels`` call of the first whether its window is a matching and
+    whether it got no adjacency."""
+    levels, calls = temporal_metrics._levels, []
+
+    def spy_levels(graph, h):
+        got = levels(graph, h)
+        calls.append((2 * len(graph[1]) == len(graph[0]), got[0] is None))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(temporal_metrics, "_levels", spy_levels)
+        got = shortest_journeys(snaps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(temporal_metrics, "_block_credit", oracles._block_credit)
+        want = shortest_journeys(snaps)
+    return got, want, calls
+
+
+SWEEP_CASES = st.one_of(
+    st.tuples(st.just("matching"), matching_sequences()),
+    st.tuples(st.just("mixed"), mixed_component_sequences()),
+    st.tuples(st.just("split"), split_window_sequences()),
+    st.tuples(st.just("boundary"), betweenness_traces().map(lambda c: build_snapshots(*c))),
+)
+
+
+def test_closed_form_hop_matches_the_dense_kernel_bit_for_bit():
+    settled = []  # windows the sweep settled with no adjacency, over all examples
+
+    @settings(max_examples=200, deadline=None)
+    @given(SWEEP_CASES)
+    def check(case):
+        kind, snaps = case
+        (scores, hops), (want_scores, want_hops), calls = _sweep_and_dense_sweep(snaps)
+        assert [s.node for s in scores] == [s.node for s in want_scores]
+        assert [s.value.hex() for s in scores] == [s.value.hex() for s in want_scores], (
+            snaps.contacts.tolist())
+        assert np.array_equal(hops, want_hops)
+        assert all(matching == none for matching, none in calls), snaps.contacts.tolist()
+        if kind == "matching" and len(snaps.contacts):
+            assert any(none for _, none in calls)  # every window is a matching
+        settled.extend(none for _, none in calls if none)
+        if len(snaps.nodes) <= 6 and snaps.window_count <= 8:
+            want = oracles.betweenness(snaps)
+            for s in scores:
+                assert s.value == pytest.approx(want[s.node], abs=1e-9), snaps.contacts.tolist()
+
+    check()
+    assert settled
+
+
+@settings(max_examples=60, deadline=None)
+@given(matching_sequences(max_nodes=8, max_windows=10))
+def test_matching_sequences_match_the_fixpoint_sweep(snaps):
+    want_scores, want_hops = oracles.fixpoint_journeys(snaps)
+    scores, hops = shortest_journeys(snaps)
+    assert np.array_equal(hops, want_hops), snaps.contacts.tolist()
+    for got, want in zip(scores, want_scores):
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)

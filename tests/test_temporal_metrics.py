@@ -10,6 +10,7 @@ from dtnmetrics import (
     CentralityScore,
     ContactEvent,
     ContactTrace,
+    SnapshotSequence,
     TemporalDistanceMatrix,
     WindowConfig,
     average_temporal_distance,
@@ -340,6 +341,53 @@ class TestTemporalBetweenness:
             want = oracles.betweenness(snaps)
             for node in snaps.nodes:
                 assert got[node] == pytest.approx(want[node], abs=1e-9), trace.events
+
+
+class TestLevels:
+    """``_levels`` on one window: no adjacency for a matching, the dense one
+    otherwise, and the same levels and least hops as the dense kernel."""
+
+    @staticmethod
+    def window(contacts, n=7):
+        rows = np.array([(0, a, b) for a, b in contacts])
+        return SnapshotSequence(1.0, 1, rows, tuple(range(n))).window_graphs[0]
+
+    @staticmethod
+    def hops(k, seed):
+        # three rows: all reached, some unreached, none reached
+        rnd = np.random.default_rng(seed)
+        h = rnd.integers(0, 6, size=(3, k))
+        h[1, rnd.random(k) < 0.5] = temporal_metrics._NO_HOPS
+        h[2] = temporal_metrics._NO_HOPS
+        return h
+
+    @pytest.mark.parametrize("contacts", [[(2, 5)], [(0, 4), (1, 6), (2, 3)]],
+                             ids=["one-contact", "three-contacts"])
+    def test_a_matching_gets_no_adjacency(self, contacts):
+        graph = self.window(contacts)
+        cols = graph[0]
+        # each contact's ends sit side by side, so a column's mate is c ^ 1
+        assert sorted(map(tuple, cols.reshape(-1, 2).tolist())) == sorted(contacts)
+        for seed in range(5):
+            h = self.hops(len(cols), seed)
+            adj, level, base = temporal_metrics._levels(graph, h)
+            _, want_level, want_base = oracles._levels(graph, h)
+            assert adj is None
+            assert np.array_equal(level, want_level) and np.array_equal(base, want_base)
+
+    @pytest.mark.parametrize("contacts", [
+        [(0, 1), (1, 2), (2, 3)],
+        [(1, 2), (1, 4), (2, 4)],
+        [(3, 0), (3, 1), (3, 2), (3, 4)],
+        [(5, 6), (0, 2), (2, 3), (1, 3)],
+    ], ids=["path", "triangle", "star", "contact-next-to-a-path"])
+    def test_other_windows_get_the_dense_adjacency(self, contacts):
+        graph = self.window([(min(a, b), max(a, b)) for a, b in contacts])
+        for seed in range(5):
+            h = self.hops(len(graph[0]), seed)
+            got, want = temporal_metrics._levels(graph, h), oracles._levels(graph, h)
+            for x, y in zip(got, want, strict=True):
+                assert x is not None and np.array_equal(x, y)
 
 
 class TestRankNodes:
