@@ -580,12 +580,3 @@ def test_closed_form_hop_matches_the_dense_kernel_bit_for_bit():
     check()
     assert settled
 
-
-@settings(max_examples=60, deadline=None)
-@given(matching_sequences(max_nodes=8, max_windows=10))
-def test_matching_sequences_match_the_fixpoint_sweep(snaps):
-    want_scores, want_hops = oracles.fixpoint_journeys(snaps)
-    scores, hops = shortest_journeys(snaps)
-    assert np.array_equal(hops, want_hops), snaps.contacts.tolist()
-    for got, want in zip(scores, want_scores):
-        assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)
