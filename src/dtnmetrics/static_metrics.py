@@ -98,13 +98,15 @@ def degree_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
 def closeness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     """Normalized closeness: (r-1)/sum(d) scaled by (r-1)/(N-1) where r is
     the size of i's component, so disconnected graphs stay within [0, 1].
-    Equals (N-1)/sum(d) on connected graphs; isolated nodes score 0."""
+    Equals (N-1)/sum(d) on connected graphs; isolated nodes score 0. The
+    hops come from the whole-graph sweep, run on ``g``'s first use."""
     c = column_of(g.window.nodes, i)
     return _closeness(g, slice(c, c + 1))[0]
 
 
 def betweenness_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
-    """Ordered-pair-normalized shortest-path betweenness."""
+    """Ordered-pair-normalized shortest-path betweenness, read from the
+    whole-graph sweep, run on ``g``'s first use."""
     c = column_of(g.window.nodes, i)
     return betweenness_centrality_all(g)[c]
 

@@ -283,7 +283,8 @@ def rank_nodes(scores: list[CentralityScore]) -> list[CentralityScore]:
 
 
 def temporal_betweenness(snapshots: SnapshotSequence, i: int) -> CentralityScore:
-    """Temporal betweenness of one node (see temporal_betweenness_all)."""
+    """Temporal betweenness of one node (see temporal_betweenness_all). Each
+    call runs the whole-graph sweep; temporal_betweenness_all scores all at once."""
     c = column_of(snapshots.nodes, i)
     return temporal_betweenness_all(snapshots)[c]
 

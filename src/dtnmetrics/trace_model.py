@@ -3,9 +3,10 @@
 A :class:`ContactTrace` is a contact sequence held as columns: ``labels``,
 the ascending node ids (isolated nodes included), and per contact row k
 the intp columns ``a[k] < b[k]`` indexing ``labels`` and the float64
-columns ``start[k] <= end[k]``, rows sorted by (start, end, a, b). Every
-stage reads the columns; :class:`ContactEvent` is the row view, and
-:func:`column_of` the one lookup from a node id to its column.
+columns ``start[k] <= end[k]``, finite and inside ``[span_min, span_max]``,
+rows sorted by (start, end, a, b). Every stage reads the columns;
+:class:`ContactEvent` is the row view, and :func:`column_of` the one lookup
+from a node id to its column.
 
 Every row ordering goes through one int64 key per row: each key column
 becomes ranks (an integer column with fewer distinct values than rows is
@@ -20,10 +21,8 @@ group's first row, and take running sums and maxima within groups with
 key ``lo * n + hi``, its columns being below ``n``.
 
 All types are immutable after construction and safe to share across
-concurrent readers; the column arrays are read-only. Invariant checking
-lives in :func:`validate_trace`, which reports violations as data
-instead of raising, so that partially broken inputs can still be
-inspected. A check of a caller's input raises :class:`InputError`.
+concurrent readers; the column arrays are read-only. A check of a
+caller's input raises :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -67,16 +66,14 @@ class ContactEvent:
     def duration(self) -> float:
         return self.end - self.start
 
-    def sort_key(self):
-        return (self.start, self.end, self.a, self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class ContactTrace:
     """A contact sequence as node-column arrays plus the node universe.
 
-    The constructor takes the columns as they are, unsorted and unchecked
-    (see :func:`validate_trace`), and stores them as read-only arrays.
+    The constructor takes the columns as they are, unsorted and unchecked,
+    and stores them as read-only arrays: the caller keeps the invariants
+    the module docstring lists.
     """
 
     labels: tuple[int, ...]
@@ -134,14 +131,6 @@ class ContactTrace:
         ids = self.labels.__getitem__
         return tuple(map(ContactEvent, map(ids, self.a.tolist()), map(ids, self.b.tolist()),
                          self.start.tolist(), self.end.tolist()))
-
-    def contacts_of(self, a: int, b: int) -> tuple[ContactEvent, ...]:
-        """All events of the unordered pair (a, b), in row order; none for an unknown id."""
-        ids = self.labels
-        lo, hi = sorted(column_of(ids, x) if x in self.nodes else -1 for x in (a, b))
-        rows = (self.a == lo) & (self.b == hi)
-        return tuple(ContactEvent(ids[lo], ids[hi], s, e)
-                     for s, e in zip(self.start[rows].tolist(), self.end[rows].tolist()))
 
 
 def column_of(labels: tuple[int, ...], node: int) -> int:
@@ -328,45 +317,3 @@ class WindowConfig:
             raise InputError(f"window width must be positive and finite, got {self.w}")
         if self.horizon is not None and self.horizon < 1:
             raise InputError(f"horizon must be a positive integer, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant failure found by validate_trace."""
-
-    rule: str
-    detail: str
-    event_index: Optional[int] = None
-
-
-def validate_trace(trace: ContactTrace) -> list[Violation]:
-    """Check every ContactEvent and ContactTrace invariant.
-
-    Returns an empty list iff the trace is valid; otherwise one
-    Violation per failed rule and event, grouped by rule. Violations are
-    data, not errors.
-    """
-    a, b, n = trace.a, trace.b, len(trace.labels)
-    start, end = trace.start.tolist(), trace.end.tolist()
-    lo, hi = trace.span_min, trace.span_max
-    unknown = (a < 0) | (a >= n) | (b < 0) | (b >= n)
-    rules = [
-        ("self-contact", a == b,
-         lambda k: f"event {k} has a == b == {a[k] if unknown[k] else trace.labels[a[k]]}"),
-        ("reversed-interval", trace.start > trace.end,
-         lambda k: f"event {k} has start {start[k]} > end {end[k]}"),
-        ("outside-span", (trace.start < lo) | (trace.end > hi),
-         lambda k: f"event {k} [{start[k]}, {end[k]}] escapes span [{lo}, {hi}]"),
-        ("unknown-node", unknown, lambda k: f"event {k} references node(s) not in node set"),
-        ("unsorted", np.diff(trace.start, prepend=-math.inf) < 0,
-         lambda k: f"event {k} starts before its predecessor"),
-    ]
-    out = [
-        Violation(rule, detail(k), k)
-        for rule, mask, detail in rules
-        for k in np.flatnonzero(mask).tolist()
-    ]
-    if unknown.any():
-        missing = sorted({*a[unknown].tolist(), *b[unknown].tolist()} - set(range(n)))
-        out.append(Violation("node-set-incomplete", f"columns {missing} not in the {n} labels"))
-    return out

@@ -20,8 +20,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .trace_model import (AnalysisPeriod, ContactTrace, InputError, WindowConfig, column_of,
-                          row_order)
+from .trace_model import AnalysisPeriod, ContactTrace, InputError, WindowConfig, row_order
 
 
 @dataclass(frozen=True)
@@ -139,13 +138,6 @@ class SnapshotSequence:
             H[s] = H[succ[lo:hi]].min(axis=0)
             H[s, col[lo:hi]] = s
         return np.where(H[:count] < count, H[:count], -1)
-
-    def occurrence_windows(self, node: int) -> tuple[int, ...]:
-        """Window indices in which the node occurs, ascending."""
-        try:
-            return tuple(np.flatnonzero(self.occupancy[:, column_of(self.nodes, node)]).tolist())
-        except KeyError:
-            return ()
 
 
 def pair_aggregates(trace: ContactTrace) -> list[PairAggregate]:

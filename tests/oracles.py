@@ -1,6 +1,9 @@
 """Independent brute-force implementations used as test oracles.
 
-These deliberately avoid the library's code paths: occurrence-chain
+:func:`validate_trace` is the invariant oracle for the traces that parse,
+clip, merge and generate return: it checks each rule a ContactTrace's
+columns must keep, which the library's constructor leaves to its callers.
+The others deliberately avoid the library's code paths: occurrence-chain
 distances are found by exhaustive enumeration of window subsequences,
 a window's components by merging node sets edge by edge, the infection
 table by a forward pass over the windows, edge journeys by breadth-first
@@ -40,6 +43,48 @@ from dtnmetrics.ingestion import (
     TextSource,
 )
 from dtnmetrics.rwp_gen import positions_at
+
+
+@dataclasses.dataclass(frozen=True)
+class Violation:
+    """One invariant failure found by validate_trace."""
+
+    rule: str
+    detail: str
+    event_index: Optional[int] = None
+
+
+def validate_trace(trace: ContactTrace) -> list[Violation]:
+    """Check every ContactEvent and ContactTrace invariant.
+
+    Returns an empty list iff the trace is valid; otherwise one
+    Violation per failed rule and event, grouped by rule. Violations are
+    data, not errors.
+    """
+    a, b, n = trace.a, trace.b, len(trace.labels)
+    start, end = trace.start.tolist(), trace.end.tolist()
+    lo, hi = trace.span_min, trace.span_max
+    unknown = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+    rules = [
+        ("self-contact", a == b,
+         lambda k: f"event {k} has a == b == {a[k] if unknown[k] else trace.labels[a[k]]}"),
+        ("reversed-interval", trace.start > trace.end,
+         lambda k: f"event {k} has start {start[k]} > end {end[k]}"),
+        ("outside-span", (trace.start < lo) | (trace.end > hi),
+         lambda k: f"event {k} [{start[k]}, {end[k]}] escapes span [{lo}, {hi}]"),
+        ("unknown-node", unknown, lambda k: f"event {k} references node(s) not in node set"),
+        ("unsorted", np.diff(trace.start, prepend=-math.inf) < 0,
+         lambda k: f"event {k} starts before its predecessor"),
+    ]
+    out = [
+        Violation(rule, detail(k), k)
+        for rule, mask, detail in rules
+        for k in np.flatnonzero(mask).tolist()
+    ]
+    if unknown.any():
+        missing = sorted({*a[unknown].tolist(), *b[unknown].tolist()} - set(range(n)))
+        out.append(Violation("node-set-incomplete", f"columns {missing} not in the {n} labels"))
+    return out
 
 
 def placed_edges(trace, period, w):
@@ -708,7 +753,7 @@ def rwp_events(params):
     for pair, start in sorted(open_since.items()):
         if final_t > start:
             events.append(ContactEvent(pair[0], pair[1], start, final_t))
-    return tuple(sorted(events, key=ContactEvent.sort_key))
+    return tuple(sorted(events, key=lambda e: (e.start, e.end, e.a, e.b)))
 
 
 def _fmt_time(t: float) -> str:
@@ -764,7 +809,7 @@ def merge_pair_overlaps(events: list[ContactEvent]) -> list[ContactEvent]:
                 merged.append(cur)
                 cur = ev
         merged.append(cur)
-    merged.sort(key=ContactEvent.sort_key)
+    merged.sort(key=lambda e: (e.start, e.end, e.a, e.b))
     return merged
 
 

@@ -20,7 +20,6 @@ from dtnmetrics import (
     pair_aggregates,
     parse_common_format,
     parse_one_report,
-    validate_trace,
     write_common_format,
     write_one_report,
 )
@@ -28,6 +27,7 @@ from dtnmetrics import ingestion
 from dtnmetrics.ingestion import _BLOCK_ROWS, _merge_pair_overlaps
 
 from . import oracles
+from .oracles import validate_trace
 from .conftest import ONE_REPORT_EVENTS, ONE_REPORT_TEXT
 
 # [PAPER] the four common-format sample rows

@@ -19,10 +19,11 @@ from dtnmetrics import (
     temporal_distance_exact,
     temporal_distance_matrix,
     temporal_distance_paper,
-    validate_trace,
     write_common_format,
     write_one_report,
 )
+
+from .oracles import validate_trace
 
 W_WIDTH = 10
 

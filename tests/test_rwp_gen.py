@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtnmetrics import RwpParams, generate, rwp_gen, validate_trace
+from dtnmetrics import RwpParams, generate, rwp_gen
 from dtnmetrics.cli import EXIT_USAGE, main
 from dtnmetrics.rwp_gen import build_tracks, positions_at
 
 from . import oracles
+from .oracles import validate_trace
 
 
 def small_params(**overrides) -> RwpParams:

@@ -137,12 +137,8 @@ class TestBuildSnapshots:
         assert snaps.window_count == 3
         assert snaps.windows[1].edges == frozenset()
 
-    def test_occurrence_windows(self, six_node_snapshots):
-        assert six_node_snapshots.occurrence_windows(1) == (0, 2)
-        assert six_node_snapshots.occurrence_windows(4) == (1,)
-
     def test_unknown_node_occurs_nowhere(self, six_node_snapshots):
-        assert six_node_snapshots.occurrence_windows(42) == ()
+        assert not any(42 in window.occupants for window in six_node_snapshots.windows)
 
 
 class TestContactArray:
