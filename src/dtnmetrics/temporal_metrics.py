@@ -29,15 +29,17 @@ every window's contact graph is connected over its occupants.
 
 Temporal betweenness accumulates Brandes-style dependencies on the
 time-expanded graph (Kim & Anderson, PRE 2012) in one sweep over
-``window_graphs``, sources as rows and nodes as columns, every source
-seeded before it starts. Each window's 0/1 adjacency is filled from its
-contacts both ways; one matmul with it per level (hops less the row's
-least hops in the component) goes up, then down. A matching window, where
-no two contacts share a node, gets no adjacency: each contact is a
-component, so one closed-form hop to each column's mate settles it both
-ways, the matmuls' sums less their exact zeros. The way down measures
-each window's levels from its post-window hops, so the log holds only the
-pre-window hops and path counts. On one window it is Brandes' BFS.
+``window_graphs``, sources as rows and nodes as columns: a :func:`_forward`
+step per occupied window, then a :func:`_backward` step per logged window in
+reverse. Each window's 0/1 adjacency is filled from its contacts both ways;
+one matmul with it per level (hops less the row's least hops in the
+component) goes up, then down. A matching window, where no two contacts
+share a node, gets none: each contact is a component, its least hops read
+off the hops' pair-swapped view, and one closed-form hop to each column's
+mate settles it both ways, the matmuls' sums less their exact zeros. The way
+down measures each window's levels from its post-window hops, so the log
+holds the pre-window hops and path counts, plus an arrival mask where a
+state arrives (else None). On one window it is Brandes' BFS.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ from .windowing import SnapshotSequence, build_snapshots
 UNREACHABLE_SENTINEL = -1
 
 #: Rows times busiest-window directed edges per betweenness block. Every
-#: occupant ends an edge, so this bounds each window's rows x occupants
-#: arrays, but neither the sweep's log, O(rows x logged occupancy), nor its
-#: rows x N h, sigma, delta and credit (the way back adds all of delta into
-#: credit at every logged window).
+#: occupant ends an edge, so this bounds each window step's rows x occupants
+#: arrays, but neither the sweep's log of pre-window hops, counts and
+#: arrival masks, O(rows x logged occupancy), nor its rows x N h, sigma,
+#: delta and credit (the way back adds all of delta into credit at every
+#: logged window).
 _BLOCK_ELEMENTS = 1 << 16
 _NO_HOPS = np.iinfo(np.int64).max // 2  # hop count of an unreached state
 
@@ -356,52 +359,22 @@ def _block_credit(
         if cols.size == 0:
             continue
         h_pre, sigma_pre = h.take(cols, axis=1), sigma.take(cols, axis=1)
-        adj, level, base = _levels(graphs[t], h_pre)  # level 0 in a component not yet reached
-        if adj is None:  # a matching: a column above level 1 drops to 1 with its mate's
-            # journeys, a column at level 1 adds them (the mate is at level 0)
-            mate = sigma_pre.take(mates[: len(cols)], axis=1)
-            st = np.where(level > 1, mate, sigma_pre)
-            np.add(st, mate, out=st, where=level == 1)
-            np.minimum(level, 1, out=level)
-        else:
-            st, frontier, top = sigma_pre.copy(), level == 0, 0
-            while True:
-                push = np.where(frontier, st, 0.0) @ adj
-                lower = (push > 0.0) & (level > top + 1)
-                level[lower], st[lower] = top + 1, 0.0
-                frontier = level == top + 1
-                if not np.count_nonzero(frontier):
-                    break  # a component's levels have no gap
-                np.add(st, push, out=st, where=frontier)
-                top += 1
-        ht = level + base
-        r, c = np.nonzero((h_pre == _NO_HOPS) & (ht < _NO_HOPS))  # arrivals
-        hops[sources[r], cols[c]] = ht[r, c]
+        ht, st, arrived = _forward(graphs[t], h_pre, sigma_pre, mates)
         h[:, cols], sigma[:, cols] = ht, st
-        log.append((t, h_pre, sigma_pre))
-        pending -= len(r)
+        log.append((t, h_pre, sigma_pre, arrived))
+        if arrived is not None:
+            r, c = np.nonzero(arrived)
+            hops[sources[r], cols[c]] = ht[r, c]
+            pending -= len(r)
         if pending == 0:
             break
     delta, credit, later = np.zeros(h.shape), np.zeros(h.shape), log[-1][0] + 1
-    for t, h_pre, sigma_pre in reversed(log):
+    for t, h_pre, sigma_pre, arrived in reversed(log):
         cols = graphs[t][0]
         if later > t + 1:
             credit += (later - t - 1) * delta  # the edgeless windows between
         ht, st = h.take(cols, axis=1), sigma.take(cols, axis=1)
-        adj, level, _ = _levels(graphs[t], ht)
-        arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
-        norm, dt = np.maximum(st, 1.0), delta.take(cols, axis=1)
-        if adj is None:  # a matching: a level-0 column takes its level-1 mate's share
-            pushed = np.where(level == 1, (dt + arrived) / norm, 0.0)
-            dt += st * pushed.take(mates[: len(cols)], axis=1)
-        else:
-            top = int(level.max())
-            above = level == top
-            for x in range(top - 1, -1, -1):
-                pushed = np.where(above, (dt + arrived) / norm, 0.0) @ adj
-                above = level == x
-                dt = np.where(above, dt + st * pushed, dt)
-        share = (dt + arrived) / norm
+        dt, share = _backward(graphs[t], ht, st, delta.take(cols, axis=1), arrived, mates)
         delta[:, cols] = dt
         credit += delta
         # unreached states carry sigma 0
@@ -412,20 +385,71 @@ def _block_credit(
     return credit.sum(axis=0)
 
 
+def _forward(graph, h_pre: np.ndarray, sigma_pre: np.ndarray, mates: np.ndarray):
+    """One window's way forward: the post-window hops and journey counts of the
+    rows x occupants pre-window ones, and the arrival mask, None if none arrives."""
+    adj, level, base = _levels(graph, h_pre)  # level 0 in a component not yet reached
+    if adj is None:  # a matching: a column above level 1 drops to 1 with its mate's
+        # journeys, a column at level 1 adds them (the mate is at level 0)
+        mate = sigma_pre.take(mates[: len(graph[0])], axis=1)
+        st = np.where(level > 1, mate, sigma_pre)
+        np.add(st, mate, out=st, where=level == 1)
+        np.minimum(level, 1, out=level)
+    else:
+        st, frontier, top = sigma_pre.copy(), level == 0, 0
+        while True:
+            push = np.where(frontier, st, 0.0) @ adj
+            lower = (push > 0.0) & (level > top + 1)
+            level[lower], st[lower] = top + 1, 0.0
+            frontier = level == top + 1
+            if not np.count_nonzero(frontier):
+                break  # a component's levels have no gap
+            np.add(st, push, out=st, where=frontier)
+            top += 1
+    ht = level + base
+    arrived = (h_pre == _NO_HOPS) & (ht < _NO_HOPS)
+    return ht, st, arrived if np.count_nonzero(arrived) else None
+
+
+def _backward(graph, ht: np.ndarray, st: np.ndarray, dt: np.ndarray, arrived, mates: np.ndarray):
+    """One window's way back from its post-window hops and counts: the carried
+    dependencies ``dt`` plus those its levels push back, and each state's share."""
+    adj, level, _ = _levels(graph, ht)
+    norm = np.maximum(st, 1.0)
+
+    def shares(d):  # an arrival adds the journey that ends there
+        return (d if arrived is None else d + arrived) / norm
+
+    if adj is None:  # a matching: a level-0 column takes its level-1 mate's share
+        pushed = np.where(level == 1, shares(dt), 0.0)
+        dt += st * pushed.take(mates[: len(graph[0])], axis=1)
+    else:
+        top = int(level.max())
+        above = level == top
+        for x in range(top - 1, -1, -1):
+            pushed = np.where(above, shares(dt), 0.0) @ adj
+            above = level == x
+            dt = np.where(above, dt + st * pushed, dt)
+    return dt, shares(dt)
+
+
 def _levels(graph: tuple[np.ndarray, ...], h: np.ndarray) -> tuple[Optional[np.ndarray], ...]:
     """One window's 0/1 adjacency, filled from its contacts both ways, or
     None for a matching, where the contacts have twice as many occupants:
     no two share one, so each contact is a component, its columns adjacent
-    (column c's mate is ``c ^ 1``), and the sweep settles the window in one
+    (column c's mate is ``c ^ 1``), and either window step settles it in one
     closed-form hop with no adjacency. Then the levels of the rows x
     occupants hops ``h``, each less its row's least hops in its component;
-    and those least hops. A window never moves its level-0 states, so its
-    pre- and post-window hops give the same least hops, and after it a
+    and those least hops, in a matching the minimum of ``h`` and its
+    pair-swapped view. A window never moves its level-0 states, so its pre-
+    and post-window hops give the same least hops, and after it a
     component's levels run 0..max with no gap."""
     cols, u, v, comp, firsts = graph
-    adj = None
-    if 2 * len(u) > len(cols):
-        adj = np.zeros((len(cols), len(cols)))
-        adj[u, v] = adj[v, u] = 1.0
+    if 2 * len(u) == len(cols):
+        pairs = h.reshape(len(h), -1, 2)
+        base = np.minimum(pairs, pairs[:, :, ::-1]).reshape(h.shape)
+        return None, h - base, base
+    adj = np.zeros((len(cols), len(cols)))
+    adj[u, v] = adj[v, u] = 1.0
     base = np.minimum.reduceat(h, firsts, axis=1).take(comp, axis=1)
     return adj, h - base, base

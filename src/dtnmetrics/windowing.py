@@ -123,20 +123,21 @@ class SnapshotSequence:
 
         A scan from s infects s, and a later window that shares an occupant
         with a window infected before it: that is s and what the scans from
-        ``nxt[s + 1, m]`` infect, for the occupants m of s. One pass from
-        s = W-1 down sets ``H[s]`` to s on those occupants and elsewhere to
-        the minimum of the rows ``H[nxt[s + 1, m]]`` (-1 read as +inf), in
+        ``nxt[s + 1, m]`` infect, for the occupants m of s. ``H[s]`` starts
+        at s on the occupants of s and at W elsewhere (W reads as +inf), and
+        one pass from s = W-1 down takes, per occupied window, the minimum
+        of that row and the rows ``H[nxt[s + 1, m]]`` in one reduction, in
         O(N * total occupancy) element operations and at most W steps.
         """
         count = self.window_count
         win, col = np.nonzero(self.occupancy)  # by window, then column
-        succ = self.next_occurrence[win + 1, col]
-        runs = np.flatnonzero(np.diff(win, prepend=-1)).tolist()
-        H = np.full((count + 1, len(self.nodes)), count)  # count reads as +inf
-        for lo, hi in reversed(list(pairwise([*runs, len(win)]))):
-            s = win[lo]
-            H[s] = H[succ[lo:hi]].min(axis=0)
-            H[s, col[lo:hi]] = s
+        runs = np.flatnonzero(np.diff(win, prepend=-1))
+        rows = np.insert(self.next_occurrence[win + 1, col], runs, win[runs])  # s, then nxt
+        H = np.full((count + 1, len(self.nodes)), count)
+        H[win, col] = win
+        at = (runs + np.arange(len(runs))).tolist()  # where each s sits in rows
+        for s, lo, hi in reversed(list(zip(win[runs].tolist(), at, [*at[1:], len(rows)]))):
+            np.minimum.reduce(H.take(rows[lo:hi], axis=0), axis=0, out=H[s])
         return np.where(H[:count] < count, H[:count], -1)
 
 

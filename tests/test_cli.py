@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from io import StringIO
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -835,6 +837,18 @@ class TestImportHygiene:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+    def test_no_module_holds_an_array(self):
+        # no module-global caches: an array built at import is memory every
+        # command pays for, whether it reads the array or not
+        package = Path(dtnmetrics.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.stem != "__main__":  # importing it runs the command line
+                module = importlib.import_module(f"dtnmetrics.{path.stem}")
+                found += [f"{path.name}: {name}" for name, value in vars(module).items()
+                          if isinstance(value, np.ndarray)]
+        assert found == []
 
     def test_modules_import_no_private_names_from_each_other(self):
         # a name with a leading underscore belongs to its module alone

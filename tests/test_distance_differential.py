@@ -297,9 +297,10 @@ def test_level_sweep_matches_the_fixpoint_sweep(snaps, blocks):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(split_window_sequences(), betweenness_traces().map(lambda c: build_snapshots(*c))))
 def test_the_way_back_rederives_the_levels_of_the_way_forward(snaps):
-    # The log keeps no top level and no arrivals: per logged window the way
-    # back's _levels, on the post-window hops, gives the forward call's least
-    # hops, and levels running 0..max in every reached (row, component).
+    # The log keeps no top level, and no arrivals for a window where none
+    # arrives: per logged window the way back's _levels, on the post-window
+    # hops, gives the forward call's least hops, and levels running 0..max in
+    # every reached (row, component).
     levels, block_credit = temporal_metrics._levels, temporal_metrics._block_credit
     calls, blocks = [], []
 
@@ -580,3 +581,93 @@ def test_closed_form_hop_matches_the_dense_kernel_bit_for_bit():
     check()
     assert settled
 
+
+@st.composite
+def repeated_pair_sequences(draw, max_nodes=10, max_windows=40):
+    """One pair meeting in every window but each seventh, from the fourth
+    on, which holds a matching of the other nodes (in some, two of its
+    contacts joined into a 4-node path); the last two windows are that
+    pair's. Node 0 meets node 1 in the first window and never again, so the
+    sources entering later never reach it and the sweep logs every window.
+    States arrive only in the first two windows, in the matchings and in the
+    pair's window after each, so most logged windows, the last included,
+    see none."""
+    n, W = draw(st.integers(5, max_nodes)), draw(st.integers(16, max_windows))
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = sorted(rnd.choice(np.arange(1, n), 2, replace=False).tolist())
+    rows = {(0, 0, 1)}
+    for t in range(1, W):
+        if t % 7 != 3 or t >= W - 2:
+            rows.add((t, a, b))
+            continue
+        pairs = rnd.permutation(np.arange(1, n))[: 2 * rnd.integers(1, (n - 1) // 2 + 1)]
+        pairs = pairs.reshape(-1, 2).tolist()
+        if len(pairs) > 1 and rnd.random() < 0.5:
+            pairs.append([pairs[0][1], pairs[1][0]])
+        rows.update((t, min(p, q), max(p, q)) for p, q in pairs)
+    return _sequence(n, W, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_pair_sequences())
+def test_windows_with_no_arrival_match_the_dense_kernel_and_the_fixpoint(snaps):
+    forward, arrivals = temporal_metrics._forward, []
+
+    def spy_forward(*args):
+        got = forward(*args)
+        arrivals.append(got[2] is not None)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(temporal_metrics, "_forward", spy_forward)
+        scores, hops = shortest_journeys(snaps)
+    assert len(arrivals) == snaps.window_count  # one block, every window logged
+    assert not arrivals[-1] and 2 * sum(arrivals) < len(arrivals), snaps.contacts.tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(temporal_metrics, "_block_credit", oracles._block_credit)
+        dense_scores, dense_hops = shortest_journeys(snaps)
+    assert [s.value.hex() for s in scores] == [s.value.hex() for s in dense_scores], (
+        snaps.contacts.tolist())
+    assert np.array_equal(hops, dense_hops)
+    want_scores, want_hops = oracles.fixpoint_journeys(snaps)
+    assert np.array_equal(hops, want_hops)
+    for got, want in zip(scores, want_scores):
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+INFECTION_EDGE_CASES = [
+    _sequence(2, 1, [(0, 0, 1)]),  # a single window
+    _sequence(3, 1, []),  # a single empty window
+    _sequence(4, 6, [(0, 0, 1), (4, 1, 2), (5, 2, 3)]),  # empty windows between, last occupied
+    _sequence(3, 5, [(4, 0, 1)]),  # only the last window occupied
+    _sequence(4, 5, [(0, 0, 1), (1, 2, 3), (2, 0, 1), (3, 2, 3), (4, 1, 2)]),  # disjoint neighbours
+    _sequence(6, 7, [(0, 0, 1), (1, 2, 3), (3, 4, 5), (4, 1, 2), (6, 3, 4), (6, 0, 5)]),
+]
+
+
+@st.composite
+def gapped_sequences(draw, max_nodes=8, max_windows=30):
+    """Occupied windows between runs of empty ones, the last window occupied;
+    in half the examples each occupied window draws its contacts from one
+    half of the nodes, the half alternating, so back-to-back occupied windows
+    share no node."""
+    n, W = draw(st.integers(4, max_nodes)), draw(st.integers(1, max_windows))
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    halves = np.array_split(rnd.permutation(n), 2) if draw(st.booleans()) else [np.arange(n)]
+    rows, k = set(), 0
+    for t in range(W):
+        if t < W - 1 and rnd.random() < 0.5:
+            continue
+        nodes, k = halves[k % len(halves)], k + 1
+        for _ in range(rnd.integers(1, 4)):
+            p, q = rnd.choice(nodes, 2, replace=False).tolist()
+            rows.add((t, min(p, q), max(p, q)))
+    return _sequence(n, W, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(INFECTION_EDGE_CASES), gapped_sequences()))
+def test_infection_table_matches_the_forward_build_across_gaps(snaps):
+    H = snaps.infection_table
+    assert H.dtype == np.int64 and H.shape == (snaps.window_count, len(snaps.nodes))
+    assert np.array_equal(H, oracles.infection_table(snaps)), snaps.contacts.tolist()

@@ -8,15 +8,21 @@ relations check the pipeline against itself.
 
 Times lie on a grid of w/4 for a dyadic width w, the period starts off
 zero, shifts are whole multiples of w and scalings powers of two, so that
-every relation holds exactly in float arithmetic.
+every relation holds exactly in float arithmetic. The benchmark's own trace
+generators, run at reduced size, give two more inputs for three of the
+relations.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import io
+import random
 import re
+import sys
 from collections import defaultdict
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -219,3 +225,45 @@ def test_one_report_equals_its_common_format_conversion(cli, case):
     assert (code, err) == (0, "")
     as_common = _outputs(cli, "common", w, period, text=converted)
     assert as_common == _outputs(cli, fmt, w, period, rows)
+
+
+def _benchmark_inputs():
+    """``perfbench/inputs.py``, loaded once from its file under a private name
+    (its dataclasses look their module up in ``sys.modules``)."""
+    if "_benchmark_inputs" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("_benchmark_inputs", path)
+        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["_benchmark_inputs"]
+
+
+@pytest.mark.parametrize("workload, sizes", [
+    # the smallest sizes near these that still pass the generators' regime checks
+    ("sparse_long", dict(nodes=16, span=3000, w=20, events=150)),
+    ("dense_contacts", dict(nodes=12, span=300, w=30, events=200)),
+])
+def test_benchmark_traces_keep_the_relations(cli, workload, sizes):
+    trace = getattr(_benchmark_inputs(), workload)(1, **sizes)
+    rows = list(zip(*(c.tolist() for c in (trace.a, trace.b, trace.start, trace.end))))
+    w, period = trace.w, (0, trace.span)
+    report, matrix = _outputs(cli, "common", w, period, rows)
+    assert len(report) == 2 and matrix
+
+    relabelled = _outputs(cli, "common", w, period, [(3 * a + 1000, 3 * b + 1000, s, e)
+                                                     for a, b, s, e in rows])
+    expected = [re.sub(r"^\((\d+),", lambda m: f"({3 * int(m[1]) + 1000},", cell)
+                for cell in report[1]]
+    assert relabelled == ([report[0], expected], matrix)
+
+    twice = [(b, a, s, e) for a, b, s, e in rows for _ in range(2)]  # every contact s < e
+    random.Random(1).shuffle(twice)
+    assert _outputs(cli, "common", w, period, text=_common(twice)) == (report, matrix)
+
+    shift = 3072 * w
+    moved_period = (period[0] + shift, period[1] + shift)
+    moved = _outputs(cli, "common", w, moved_period,
+                     [(a, b, s + shift, e + shift) for a, b, s, e in rows])
+    assert moved[1] == matrix
+    keep = [c for c in _COLUMNS if c not in ("t_min", "t_max")]
+    assert [_cell(moved[0], c) for c in keep] == [_cell(report, c) for c in keep]
