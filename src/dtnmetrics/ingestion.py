@@ -108,9 +108,10 @@ _COMMON_ROW = np.dtype([("a", np.int64), ("b", np.int64), ("start", float), ("en
                         ("count", np.int64), ("gap", float)])
 _ONE_ROW = np.dtype([("t", float), ("op", "S5"), ("n1", np.int64), ("n2", np.int64),
                      ("action", "S5")])
-# The columns the line loops give, ids and counts as indices into their values.
+# The columns the line loops give, ids as indices into their values and
+# counts as Python ints, which hold any count ``int`` reads.
 _COMMON_COLUMNS = np.dtype([("line", np.intp), ("a", np.intp), ("b", np.intp), ("start", float),
-                            ("end", float), ("count", np.intp), ("gap", float)])
+                            ("end", float), ("count", object), ("gap", float)])
 _ONE_COLUMNS = np.dtype([("line", np.intp), ("t", float), ("conn", bool), ("n1", np.intp),
                          ("n2", np.intp), ("up", bool)])
 
@@ -179,10 +180,9 @@ def parse_common_format(
     columns are checked against recomputation; mismatches produce
     warnings and the recomputed values win.
     """
-    ids, counts, error, (lines, a, b, start, end, count, gap) = (
-        _clean_common(text) or _common_lines(text))
+    ids, error, (lines, a, b, start, end, count, gap) = _clean_common(text) or _common_lines(text)
     if warnings is not None:
-        warnings.extend(_recount(lines, a, b, len(ids), start, counts, count, gap))
+        warnings.extend(_recount(lines, a, b, len(ids), start, count, gap))
     if error:
         raise error
     if not len(a):
@@ -201,18 +201,15 @@ def _clean_common(text: TextSource) -> Optional[tuple]:
             and (a != b).all()):
         return None
     ids, nodes = distinct(np.concatenate([a, b]))
-    counts, count = distinct(count)
     m = len(a)
-    return ids, counts, None, (np.arange(first, first + m), nodes[:m], nodes[m:], start, end,
-                               count, gap)
+    return ids, None, (np.arange(first, first + m), nodes[:m], nodes[m:], start, end, count, gap)
 
 
 def _common_lines(text: TextSource) -> tuple:
-    """The node ids, the distinct occurrence counts, the error of the first
-    failing row (None if none fails), and the line, ``a`` and ``b`` (indices
-    into the ids), start, end, count (an index into the counts) and gap
-    columns of the rows before it."""
-    nodes, counts, rows, error = {}, {}, [], None
+    """The node ids, the error of the first failing row (None if none
+    fails), and the line, ``a`` and ``b`` (indices into the ids), start, end,
+    count and gap columns of the rows before it."""
+    nodes, rows, error = {}, [], None
     try:
         for line, fields in _rows(text, 6):
             try:
@@ -228,28 +225,25 @@ def _common_lines(text: TextSource) -> tuple:
             if src == dst:
                 raise ParseError(f"self-contact of node {src}", line)
             rows.append((line, nodes.setdefault(src, len(nodes)),
-                         nodes.setdefault(dst, len(nodes)), up, down,
-                         counts.setdefault(occ, len(counts)), inter))
+                         nodes.setdefault(dst, len(nodes)), up, down, occ, inter))
     except ParseError as exc:
         error = exc
-    return list(nodes), list(counts), error, _columns(np.array(rows, _COMMON_COLUMNS))
+    return list(nodes), error, _columns(np.array(rows, _COMMON_COLUMNS))
 
 
-def _recount(lines, a, b, n, start, values, count, gap) -> Iterator[ParseWarning]:
-    """Warnings, in line order, for the rows whose occurrence count
-    (``values[count]``) or inter-contact time ``gap`` differs from the one
-    their pair's earlier rows give; ``a`` and ``b`` are below ``n``."""
+def _recount(lines, a, b, n, start, count, gap) -> Iterator[ParseWarning]:
+    """Warnings, in line order, for the rows whose occurrence ``count`` or
+    inter-contact time ``gap`` differs from the one their pair's earlier rows
+    give; ``a`` and ``b`` are below ``n``."""
     order, first = groups(_pair_key(a, b, n))
     expected_count, expected_gap = np.empty(len(order), np.int64), np.empty(len(order))
     expected_count[order], expected_gap[order] = _occurrences(start[order], first)
     wrong_gap = np.abs(gap - expected_gap) > 1e-9
-    # A count beyond the row count can match no recomputed count.
-    wrong_count = np.array([min(max(v, 0), len(a) + 1) for v in values], np.int64)[count]
-    wrong_count = wrong_count != expected_count
+    wrong_count = count != expected_count
     for k in np.flatnonzero(wrong_count | wrong_gap).tolist():
         line = int(lines[k])
         if wrong_count[k]:
-            yield ParseWarning(line, f"occurrence count {values[count[k]]} != recomputed "
+            yield ParseWarning(line, f"occurrence count {count[k]} != recomputed "
                                      f"{int(expected_count[k])}")
         if wrong_gap[k]:
             yield ParseWarning(line, f"inter-contact time {float(gap[k])} != recomputed "

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .temporal_metrics import CentralityScore, shortest_journeys
-from .trace_model import ContactTrace, column_of
+from .trace_model import ContactTrace, InputError, column_of
 from .windowing import SnapshotSequence
 
 
@@ -74,10 +74,10 @@ def static_average_distance(g: AggregatedGraph) -> float:
     finite mean.
     """
     if not len(g.window.contacts):
-        raise ValueError("static average distance needs at least one edge")
+        raise InputError("static average distance needs at least one edge")
     reached = g.hops[g.hops > 0]
     if reached.size == 0:
-        raise ValueError("no connected pairs")
+        raise InputError("no connected pairs")
     return int(reached.sum()) / reached.size
 
 
@@ -91,7 +91,7 @@ def degree(g: AggregatedGraph, i: int) -> int:
 def degree_centrality(g: AggregatedGraph, i: int) -> CentralityScore:
     """Degree normalized by N-1."""
     if g.n < 2:
-        raise ValueError("degree centrality needs at least 2 nodes")
+        raise InputError("degree centrality needs at least 2 nodes")
     return CentralityScore(i, degree(g, i) / (g.n - 1))
 
 
@@ -119,7 +119,7 @@ def betweenness_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
 def degree_centrality_all(g: AggregatedGraph) -> list[CentralityScore]:
     """degree_centrality of every node in one pass (a self-loop is no link)."""
     if g.n < 2:
-        raise ValueError("degree centrality needs at least 2 nodes")
+        raise InputError("degree centrality needs at least 2 nodes")
     _, a, b = g.window.contacts.T
     link = a != b
     links = np.bincount(np.concatenate([a[link], b[link]]), minlength=g.n).tolist()
@@ -143,5 +143,5 @@ def _closeness(g: AggregatedGraph, rows: slice) -> list[CentralityScore]:
 def static_diameter(g: AggregatedGraph) -> int:
     """Maximum finite shortest-path length over pairs."""
     if not len(g.window.contacts):
-        raise ValueError("static diameter needs at least one edge")
+        raise InputError("static diameter needs at least one edge")
     return int(g.hops.max())

@@ -49,7 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .trace_model import AnalysisPeriod, ContactTrace, WindowConfig, column_of, row_order
+from .trace_model import (AnalysisPeriod, ContactTrace, InputError, WindowConfig, column_of,
+                          row_order)
 from .windowing import SnapshotSequence, build_snapshots
 
 #: Matrix export encoding for temporally disconnected pairs.
@@ -175,7 +176,7 @@ def average_temporal_distance(matrix: TemporalDistanceMatrix, w: float) -> float
     reachable off-diagonal window-hop entries (unreachable pairs add 0)."""
     n = matrix.n
     if n < 2:
-        raise ValueError("average temporal distance needs at least 2 nodes")
+        raise InputError("average temporal distance needs at least 2 nodes")
     e = matrix.entries
     total = int(e[e > 0].sum())
     return w * total / (n * (n - 1))
@@ -222,9 +223,9 @@ def temporal_closeness_all(
 def _closeness(matrix: TemporalDistanceMatrix, window_count: int, rows: slice):
     """temporal_closeness of the nodes of the matrix rows ``rows``."""
     if matrix.n < 2:
-        raise ValueError("temporal closeness needs at least 2 nodes")
+        raise InputError("temporal closeness needs at least 2 nodes")
     if window_count < 1:
-        raise ValueError("window count must be >= 1")
+        raise InputError("window count must be >= 1")
     e = matrix.entries[rows]
     totals = np.where(e > 0, e, 0).sum(axis=1).tolist()
     norm = window_count * (matrix.n - 1)

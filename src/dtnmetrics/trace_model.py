@@ -298,10 +298,6 @@ class AnalysisPeriod:
         return self.t_max - self.t_min
 
 
-#: Sentinel for an unbounded intra-window hop horizon.
-UNLIMITED: Optional[int] = None
-
-
 @dataclass(frozen=True)
 class WindowConfig:
     """Window width (seconds) and the max intra-window hop horizon.
@@ -310,7 +306,7 @@ class WindowConfig:
     """
 
     w: float
-    horizon: Optional[int] = UNLIMITED
+    horizon: Optional[int] = None
 
     def __post_init__(self):
         if not 0 < self.w < math.inf:

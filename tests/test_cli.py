@@ -873,6 +873,20 @@ class TestImportHygiene:
                 missing.append(name)
         assert missing == []
 
+    def test_no_module_raises_a_bare_value_error(self):
+        # every library check of input raises InputError, on which the
+        # command line exits 2; a bare ValueError would exit 1
+        package = Path(dtnmetrics.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
 
 class TestSortHygiene:
     def test_rows_are_ordered_only_by_the_one_primitive(self):

@@ -16,7 +16,9 @@ from dtnmetrics import (
     ContactTrace,
     ParseError,
     ParseWarning,
+    RwpParams,
     clip_to_period,
+    generate,
     pair_aggregates,
     parse_common_format,
     parse_one_report,
@@ -29,6 +31,7 @@ from dtnmetrics.ingestion import _BLOCK_ROWS, _merge_pair_overlaps
 from . import oracles
 from .oracles import validate_trace
 from .conftest import ONE_REPORT_EVENTS, ONE_REPORT_TEXT
+from .test_metamorphic import _benchmark_inputs
 
 # [PAPER] the four common-format sample rows
 TABLE_ROWS = """\
@@ -924,6 +927,32 @@ class TestCleanTextsTakeNumpysReader:
             for source in (io.StringIO(text), text.splitlines()):
                 with pytest.raises(AssertionError, match="line loop"):
                     parse(source)
+
+
+def _benchmark_text(workload):
+    """A benchmark workload's input at reduced size: the common-format text
+    of a ``perfbench/inputs.py`` trace, or a generated ONE report."""
+    if workload == "generate":
+        params = RwpParams(node_count=12, duration=600, range=40, area_width=150,
+                           area_height=150, seed=1, tick=1)
+        return parse_one_report, write_one_report(generate(params))
+    # the smallest sizes near these that still pass the generators' regime checks
+    sizes = {"sparse_long": dict(nodes=16, span=3000, w=20, events=150),
+             "dense_contacts": dict(nodes=12, span=300, w=30, events=200)}[workload]
+    inputs = _benchmark_inputs()
+    return parse_common_format, inputs.common_format_text(getattr(inputs, workload)(1, **sizes))
+
+
+@pytest.mark.parametrize("workload", ("sparse_long", "dense_contacts", "generate"))
+def test_both_reads_agree_on_the_benchmark_inputs(workload):
+    # the benchmark's commands read only through numpy's reader; the line
+    # loop must give the same trace and warnings on the same texts
+    parse, text = _benchmark_text(workload)
+    with mock.patch.object(ingestion, "_rows", side_effect=AssertionError("line loop")):
+        fast = _outcome(parse, text)
+    (kind, labels, a, *_), _ = fast
+    assert kind == "trace" and len(labels) > 2 and len(a) > 10
+    assert _outcome(parse, text.splitlines(keepends=True)) == fast
 
 
 def _float_int_loadtxt(loadtxt):

@@ -1,6 +1,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from dtnmetrics import (
@@ -9,6 +10,7 @@ from dtnmetrics import (
     CentralityScore,
     ContactEvent,
     ContactTrace,
+    TemporalDistanceMatrix,
     aggregate,
     betweenness_centrality,
     betweenness_centrality_all,
@@ -22,6 +24,7 @@ from dtnmetrics import (
     static_diameter,
 )
 from dtnmetrics import temporal_metrics
+from dtnmetrics.trace_model import InputError
 
 from . import oracles
 from .conftest import star_trace
@@ -273,3 +276,25 @@ class TestMatchesNetworkx:
         g = graph_of({3, 7, 9}, {(3, 3), (9, 9)})
         assert_matches_networkx(g)
         assert static_diameter(g) == 0
+
+
+_ONE_NODE = TemporalDistanceMatrix((4,), np.zeros((1, 1), np.int64))
+_TWO_NODES = TemporalDistanceMatrix((4, 7), np.array([[0, 1], [-1, 0]]))
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: temporal_metrics.average_temporal_distance(_ONE_NODE, 1.0), "at least 2 nodes"),
+    (lambda: temporal_metrics.temporal_closeness_all(_ONE_NODE, 1), "at least 2 nodes"),
+    (lambda: temporal_metrics.temporal_closeness(_TWO_NODES, 0, 4), "window count"),
+    (lambda: degree_centrality(graph_of({3}, ()), 3), "at least 2 nodes"),
+    (lambda: degree_centrality_all(graph_of({3}, ())), "at least 2 nodes"),
+    (lambda: static_average_distance(graph_of({1, 2}, ())), "at least one edge"),
+    (lambda: static_diameter(graph_of({1, 2}, ())), "at least one edge"),
+    (lambda: static_average_distance(graph_of({4}, {(4, 4)})), "no connected pairs"),
+], ids=["temporal-distance-one-node", "temporal-closeness-one-node", "zero-windows",
+        "degree-one-node", "degree-all-one-node", "distance-edgeless", "diameter-edgeless",
+        "self-contact-only"])
+def test_every_library_input_check_raises_input_error(check, message):
+    # the command line exits 2 on an InputError and 1 on any other exception
+    with pytest.raises(InputError, match=message):
+        check()
